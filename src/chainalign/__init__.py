@@ -25,6 +25,7 @@ from .errors import (
     IncompatibleTriple,
     IncompatibleWalk,
     InputError,
+    InvalidThreshold,
     InvariantError,
     MalformedRecord,
     NegativeDelta,
@@ -104,6 +105,7 @@ __all__ = [
     "IncompatibleTriple",
     "IncompatibleWalk",
     "InputError",
+    "InvalidThreshold",
     "InvariantError",
     "JointWalk",
     "MalformedRecord",

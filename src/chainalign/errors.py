@@ -4,11 +4,14 @@ The three branches map onto the CLI exit codes: InputError -> 2,
 PreconditionError -> 3, InvariantError -> 4.
 """
 
+import math
+
 __all__ = [
     "ChainAlignError",
     "InputError",
     "PreconditionError",
     "InvariantError",
+    "InvalidThreshold",
     "NegativeDelta",
     "BadDelta",
     "TooLarge",
@@ -21,6 +24,7 @@ __all__ = [
     "ParseError",
     "MalformedRecord",
     "NoCaAtoms",
+    "check_threshold",
 ]
 
 
@@ -40,7 +44,11 @@ class InvariantError(ChainAlignError):
     """An internal invariant failed; indicates a bug or a broken artifact."""
 
 
-class NegativeDelta(PreconditionError):
+class InvalidThreshold(PreconditionError, ValueError):
+    """A distance threshold, tolerance or factor was negative, NaN or infinite."""
+
+
+class NegativeDelta(InvalidThreshold):
     """Distance threshold was negative."""
 
 
@@ -99,3 +107,16 @@ class MalformedRecord(ParseError):
 
 class NoCaAtoms(InputError):
     """No alpha-carbon records found in the input."""
+
+
+def check_threshold(value: float, name: str = "delta") -> None:
+    """Raise unless value is a finite number >= 0.
+
+    Negative values raise NegativeDelta; NaN and +inf raise InvalidThreshold.
+    A NaN compares false both ways, so without this check a solver would
+    return the empty alignment and a `> value` validation would pass.
+    """
+    if value < 0:
+        raise NegativeDelta(f"{name} must be >= 0, got {value}")
+    if not math.isfinite(value):
+        raise InvalidThreshold(f"{name} must be finite, got {value}")

@@ -3,8 +3,10 @@
 The distance is the smallest worst vertex-pair distance achievable by a
 coupling: a monotone walk of two pointers that starts on the first vertices,
 ends on the last, and advances one chain or both by one vertex per step.
-The quadratic dynamic program computes it exactly; two tiny enumerators
-re-derive it by brute force for cross-checking.
+The quadratic dynamic program computes it exactly, with an optimal coupling;
+a reachability sweep decides "distance <= delta" exactly without building the
+table; two tiny enumerators re-derive the distance by brute force for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NegativeDelta, TooLarge
+from .errors import TooLarge, check_threshold
 from .geometry import Chain3D
 
 __all__ = [
@@ -116,10 +118,48 @@ def discrete_frechet(a: Chain3D, b: Chain3D) -> FrechetResult:
 
 
 def frechet_decision(a: Chain3D, b: Chain3D, delta: float) -> bool:
-    """True iff the discrete Frechet distance is at most delta (closed)."""
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
-    return discrete_frechet(a, b).value <= delta
+    """True iff the discrete Frechet distance is at most delta (closed).
+
+    Exact: the answer equals discrete_frechet(a, b).value <= delta bit for
+    bit, because it tests the same math.dist values with the same closed
+    comparison, and a coupling has worst pair <= delta exactly when every
+    cell on it is within delta.
+
+    A reachability sweep with no traceback: row i of A keeps the columns of
+    B reachable from (0, 0) as sorted runs (lo, hi).  The next row is seeded
+    by the free cells in [lo, hi + 1] of each run, and each seed extends
+    right while the next cell is free.  Returns early when either endpoint
+    pair is farther than delta or a row has no reachable cell.  The cost is
+    proportional to the cells next to the reachable region, O(|A| |B|) in
+    the worst case.
+    """
+    check_threshold(delta)
+    pa, pb = _points(a), _points(b)
+    m = len(pb)
+    d = math.dist
+    if d(pa[0], pb[0]) > delta or d(pa[-1], pb[-1]) > delta:
+        return False
+    runs = [(0, -1)]  # an empty run left of column 0 seeds exactly (0, 0)
+    for ai in pa:
+        nxt_runs = []
+        j = 0  # first column of this row not yet examined
+        for lo, hi in runs:
+            if j < lo:
+                j = lo
+            stop = min(hi + 1, m - 1)
+            while j <= stop:
+                if d(ai, pb[j]) <= delta:
+                    k = j + 1
+                    while k < m and d(ai, pb[k]) <= delta:
+                        k += 1
+                    nxt_runs.append((j, k - 1))
+                    j = k + 1  # column k is blocked or past the end
+                else:
+                    j += 1
+        if not nxt_runs:
+            return False
+        runs = nxt_runs
+    return runs[-1][1] == m - 1
 
 
 def brute_force_frechet(a: Chain3D, b: Chain3D) -> float:

@@ -38,9 +38,9 @@ import numpy as np
 from .errors import (
     IncompatibleWalk,
     InvariantError,
-    NegativeDelta,
     TooLarge,
     UnsupportedArity,
+    check_threshold,
 )
 from .frechet import discrete_frechet, frechet_decision
 from .geometry import Chain3D
@@ -82,8 +82,7 @@ class PlsaInstance:
             object.__setattr__(self, "chains", tuple(self.chains))
         if len(self.chains) < 2:
             raise ValueError("an alignment instance needs at least two chains")
-        if self.delta < 0:
-            raise NegativeDelta(f"delta must be >= 0, got {self.delta}")
+        check_threshold(self.delta)
 
 
 @dataclass(frozen=True)
@@ -201,9 +200,12 @@ def validate_alignment_result(
     """Check every documented invariant of an AlignmentResult.
 
     Raises InvariantError on the first violation.  The common-chain check
-    verifies d_F(common, subsequence polyline) <= delta + tol through the
-    frechet module, i.e. independently of how the result was produced.
+    decides d_F(common, subsequence polyline) <= delta + tol with the
+    frechet module's reachability sweep, i.e. independently of how the
+    result was produced; only when it fails is the full distance computed,
+    to report it.
     """
+    check_threshold(delta)
     m = len(chains)
     if len(result.subsequences) != m:
         raise InvariantError("one subsequence per chain is required")
@@ -225,8 +227,8 @@ def validate_alignment_result(
         raise InvariantError("non-empty alignment must carry a common chain")
     for c, sub in enumerate(result.subsequences):
         poly = Chain3D("sub", tuple(chains[c].points[i - 1] for i in sub))
-        got = discrete_frechet(result.common_chain, poly).value
-        if got > delta + tol:
+        if not frechet_decision(result.common_chain, poly, delta + tol):
+            got = discrete_frechet(result.common_chain, poly).value
             raise InvariantError(
                 f"common chain is {got} from chain {c} subsequence, beyond {delta} + {tol}"
             )
@@ -244,8 +246,7 @@ def plsa_static_pair(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
     quadratic per state (quartic overall).  Serves as the reference against
     which the prefix-maximum implementation is checked exactly.
     """
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+    check_threshold(delta)
     pa, pb = _pts(a), _pts(b)
     n1, n2 = len(pa), len(pb)
     d = math.dist
@@ -325,8 +326,7 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
     values increase strictly along valid cells, so that cell is the unique
     row maximum).  Values agree with the reference exactly.
     """
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+    check_threshold(delta)
     arr_a, arr_b = a.as_array(), b.as_array()
     n1, n2 = len(arr_a), len(arr_b)
     diff = arr_a[:, None, :] - arr_b[None, :, :]
@@ -424,8 +424,7 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
         raise ValueError("need at least two chains")
     if m > MAX_ARITY:
         raise UnsupportedArity(f"{m} chains exceed the supported maximum of {MAX_ARITY}")
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+    check_threshold(delta)
     pts = [_pts(c) for c in chains]
     shape = tuple(len(p) for p in pts)
 
@@ -510,8 +509,7 @@ def plsa_oracle(chains: Sequence[Chain3D], delta: float) -> int:
     m = len(chains)
     if m < 2:
         raise ValueError("need at least two chains")
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+    check_threshold(delta)
     sizes = [len(c) for c in chains]
     if sum(sizes) > ORACLE_LIMIT:
         raise TooLarge(f"total vertex count {sum(sizes)} exceeds {ORACLE_LIMIT}")
@@ -567,8 +565,7 @@ def plsa_oracle_walks(chains: Sequence[Chain3D], delta: float) -> int:
     m = len(chains)
     if m < 2:
         raise ValueError("need at least two chains")
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+    check_threshold(delta)
     sizes = [len(c) for c in chains]
     if sum(sizes) > WALK_ORACLE_LIMIT:
         raise TooLarge(f"total vertex count {sum(sizes)} exceeds {WALK_ORACLE_LIMIT}")

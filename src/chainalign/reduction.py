@@ -27,9 +27,9 @@ from .errors import (
     BadDelta,
     EmptyGraph,
     InvariantError,
-    NegativeDelta,
     PropertyViolation,
     TooLarge,
+    check_threshold,
 )
 from .geometry import Chain3D, Point3
 
@@ -229,6 +229,7 @@ def measure_reduction_properties(
     deduplicating exact coincidences), so a corrupted instance measures as
     corrupted.
     """
+    check_threshold(gap_factor, "gap_factor")
     occ: list[tuple[Label, tuple[float, float, float]]] = []
     seen: set[tuple[Label, tuple[float, float, float]]] = set()
     for chain, labels in zip(inst.chains, inst.label_map):
@@ -420,8 +421,7 @@ def subsequence_match_decision(common: Chain3D, chain: Chain3D, delta: float) ->
     any earlier j with the same i (subsequence advanced).  Runs in
     O(|common| * |chain|) via prefix ors.
     """
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+    check_threshold(delta)
     cp = [p.as_tuple() for p in common.points]
     pp = [p.as_tuple() for p in chain.points]
     d = math.dist

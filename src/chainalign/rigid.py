@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateTriple, IncompatibleTriple, NegativeDelta
+from .errors import DegenerateTriple, IncompatibleTriple, check_threshold
 from .geometry import Chain3D, RigidMotion, apply_motion, motion_from_triples
 from .plsa import AlignmentResult, plsa_static_pair_fast
 
@@ -55,8 +55,8 @@ class SearchConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.prune_tolerance is not None and self.prune_tolerance < 0:
-            raise ValueError("prune_tolerance must be >= 0")
+        if self.prune_tolerance is not None:
+            check_threshold(self.prune_tolerance, "prune_tolerance")
 
 
 def _rotation_from_quaternion(
@@ -96,8 +96,7 @@ def enumerate_candidate_motions(
 
     The stream is deterministic for a fixed (a, b, delta, config).
     """
-    if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+    check_threshold(delta)
     tol = config.prune_tolerance if config.prune_tolerance is not None else 2.0 * delta
 
     if config.mode == "random":

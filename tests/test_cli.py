@@ -199,6 +199,22 @@ def test_bad_parameters_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_thresholds_exit_3(tmp_path, capsys, value):
+    fa = write(tmp_path / "a.chain", chain_text([(0, 0, 0), (1, 0, 0)]))
+    fb = write(tmp_path / "b.chain", chain_text([(0, 0.5, 0)]))
+    fg = write(tmp_path / "g.graph", FIVE_VERTEX_GRAPH)
+    assert main(["plsa", fa, fb, "--fast", "--delta", value]) == 3
+    assert main(["plsa", fa, fb, "--delta", value]) == 3
+    assert main(["plsa-rigid", fa, fb, "--delta", value]) == 3
+    assert main(["plsa-rigid", fa, fb, "--delta", "1", "--prune-tolerance", value]) == 3
+    assert main(["verify-reduction", fg, "--delta", value]) == 3
+    assert main(["verify-reduction", fg, "--gap-factor", value]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error:") == 6
+
+
 def test_violated_geometry_exits_4(tmp_path, capsys):
     fg = write(tmp_path / "g.graph", FIVE_VERTEX_GRAPH)
     assert main(["verify-reduction", fg, "--gap-factor", "1e9"]) == 4

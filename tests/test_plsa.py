@@ -1,16 +1,18 @@
+import math
 import random
 
 import pytest
 
 from chainalign.errors import (
     IncompatibleWalk,
+    InvalidThreshold,
     InvariantError,
     NegativeDelta,
     TooLarge,
     UnsupportedArity,
 )
 from chainalign.frechet import discrete_frechet
-from chainalign.geometry import Chain3D, chain_from_coords
+from chainalign.geometry import Chain3D, Point3, chain_from_coords
 from chainalign.plsa import (
     AlignmentResult,
     JointWalk,
@@ -205,6 +207,27 @@ def test_validator_catches_corrupted_results():
         validate_alignment_result(no_common, (a, b), 1.0)
 
 
+def test_validator_reports_the_distance_of_a_displaced_common_chain():
+    rng = random.Random(83)
+    a = rand_chain(rng, "a", 8)
+    b = chain_from_coords("b", [(x + 0.1, y, z) for x, y, z in (p.as_tuple() for p in a.points)])
+    delta = 0.5
+    good = plsa_static_pair_fast(a, b, delta)
+    assert good.value == 16
+    validate_alignment_result(good, (a, b), delta)
+    # every claim but the common chain still holds after this shift
+    moved = Chain3D("common", tuple(
+        Point3(p.x, p.y + 3.0 * delta, p.z) for p in good.common_chain.points
+    ))
+    shifted = AlignmentResult(good.value, good.subsequences, good.walk, moved)
+    poly = Chain3D("sub", tuple(a.points[i - 1] for i in good.subsequences[0]))
+    measured = discrete_frechet(moved, poly).value
+    assert measured > delta
+    with pytest.raises(InvariantError) as exc:
+        validate_alignment_result(shifted, (a, b), delta)
+    assert f"common chain is {measured} from chain 0" in str(exc.value)
+
+
 def test_guards():
     a = chain_from_coords("a", [(0, 0, 0)])
     with pytest.raises(ValueError):
@@ -217,6 +240,11 @@ def test_guards():
         plsa_static_pair_fast(a, a, -0.1)
     with pytest.raises(NegativeDelta):
         plsa_oracle((a, a), -2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidThreshold):
+            plsa_static_pair_fast(a, a, bad)
+        with pytest.raises(InvalidThreshold):
+            validate_alignment_result(plsa_static_pair_fast(a, a, 1.0), (a, a), bad)
     big = chain_from_coords("big", [(float(i), 0, 0) for i in range(10)])
     with pytest.raises(TooLarge):
         plsa_oracle((big, big), 1.0)

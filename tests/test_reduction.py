@@ -7,6 +7,7 @@ import pytest
 from chainalign.errors import (
     BadDelta,
     EmptyGraph,
+    InvalidThreshold,
     InvariantError,
     NegativeDelta,
     PropertyViolation,
@@ -188,6 +189,9 @@ def test_gap_factor_parameter_tightens_the_check():
     with pytest.raises(PropertyViolation) as exc:
         verify_reduction_properties(inst, gap_factor=1e9)
     assert exc.value.prop == "c"
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(InvalidThreshold):
+            verify_reduction_properties(inst, gap_factor=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chainalign.errors import InvalidThreshold
 from chainalign.geometry import RigidMotion, apply_motion, chain_from_coords, dist
 from chainalign.plsa import plsa_static_pair_fast
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
@@ -122,3 +123,6 @@ def test_config_validation():
         SearchConfig(budget=0)
     with pytest.raises(ValueError):
         SearchConfig(prune_tolerance=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidThreshold):
+            SearchConfig(prune_tolerance=bad)
