@@ -4,9 +4,14 @@ Exit codes: 0 success, 2 unreadable or unparseable input, 3 violated
 precondition (bad sizes, thresholds, or configuration), 4 internal
 invariant failure.  Results are printed to stdout as text or JSON.
 
-Chain inputs are chain-format files (the first chain of the document is
-used) or PDB files when the path ends in .pdb, optionally narrowed with
---pdb-chain.
+Chain inputs are chain-format files holding exactly one chain (a file with
+several is rejected with exit 2) or PDB files when the path ends in .pdb,
+optionally narrowed with --pdb-chain.
+
+plsa aligns two chains with the quadratic prefix-maximum DP, whose values,
+walks and tie-breaks equal the quartic reference's; --fast is accepted and
+has no effect.  Three or four chains run the multi-chain DP, which
+refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .frechet import discrete_frechet
 from .geometry import Chain3D, apply_motion
 from .plsa import (
     plsa_static_multi,
-    plsa_static_pair,
     plsa_static_pair_fast,
     validate_alignment_result,
 )
@@ -65,7 +69,10 @@ def _load_chain(path_str: str, pdb_chain: str | None) -> tuple[Chain3D, dict[str
     text = data.decode("utf-8")
     if path.suffix.lower() == ".pdb":
         return parse_pdb_ca(text, pdb_chain), digest
-    return parse_chain_file(text).chains[0], digest
+    chains = parse_chain_file(text).chains
+    if len(chains) != 1:
+        raise InputError(f"{path} holds {len(chains)} chains; a chain file must hold one")
+    return chains[0], digest
 
 
 def _load_graph(path_str: str):
@@ -108,8 +115,7 @@ def _cmd_plsa(args) -> int:
     chains = [c for c, _ in loaded]
     t0 = time.perf_counter()
     if len(chains) == 2:
-        fn = plsa_static_pair_fast if args.fast else plsa_static_pair
-        res = fn(chains[0], chains[1], args.delta)
+        res = plsa_static_pair_fast(chains[0], chains[1], args.delta)
     else:
         res = plsa_static_multi(chains, args.delta)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -292,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plsa", help="best local alignment of chains held fixed")
     p.add_argument("chains", nargs="+", metavar="CHAIN")
     p.add_argument("--delta", type=float, required=True, help="closeness threshold")
-    p.add_argument("--fast", action="store_true", help="prefix-maximum implementation (two chains)")
+    p.add_argument("--fast", action="store_true",
+                   help="accepted for two chains and has no effect: they always use the fast path")
     add_common(p)
     p.set_defaults(func=_cmd_plsa)
 

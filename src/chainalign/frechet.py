@@ -60,10 +60,6 @@ def validate_paired_walk(walk: PairedWalk, n_a: int, n_b: int) -> None:
             raise ValueError(f"illegal step ({i0},{j0}) -> ({i1},{j1})")
 
 
-def _points(chain: Chain3D) -> list[tuple[float, float, float]]:
-    return [p.as_tuple() for p in chain.points]
-
-
 def discrete_frechet(a: Chain3D, b: Chain3D) -> FrechetResult:
     """Exact discrete Frechet distance with an optimal coupling.
 
@@ -71,7 +67,7 @@ def discrete_frechet(a: Chain3D, b: Chain3D) -> FrechetResult:
     prefixes ending at (i, j).  Walk reconstruction prefers, on ties,
     advancing both chains, then chain A, then chain B.
     """
-    pa, pb = _points(a), _points(b)
+    pa, pb = a.points, b.points
     n, m = len(pa), len(pb)
     d = math.dist
     inf = math.inf
@@ -134,7 +130,7 @@ def frechet_decision(a: Chain3D, b: Chain3D, delta: float) -> bool:
     the worst case.
     """
     check_threshold(delta)
-    pa, pb = _points(a), _points(b)
+    pa, pb = a.points, b.points
     m = len(pb)
     d = math.dist
     if d(pa[0], pb[0]) > delta or d(pa[-1], pb[-1]) > delta:
@@ -168,7 +164,7 @@ def brute_force_frechet(a: Chain3D, b: Chain3D) -> float:
     Exponential; guarded to |A| + |B| <= 16.  Used as the independent
     oracle for discrete_frechet.
     """
-    pa, pb = _points(a), _points(b)
+    pa, pb = a.points, b.points
     n, m = len(pa), len(pb)
     if n + m > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"|A| + |B| = {n + m} exceeds {BRUTE_FORCE_LIMIT}")
@@ -203,7 +199,7 @@ def brute_force_frechet_segments(a: Chain3D, b: Chain3D) -> float:
     over all partitions must agree with the unit-step form exactly.
     Guarded to |A| + |B| <= 10.
     """
-    pa, pb = _points(a), _points(b)
+    pa, pb = a.points, b.points
     n, m = len(pa), len(pb)
     if n + m > SEGMENT_LIMIT:
         raise TooLarge(f"|A| + |B| = {n + m} exceeds {SEGMENT_LIMIT}")

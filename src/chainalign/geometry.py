@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,21 +30,31 @@ DEGENERATE_AREA_TOL = 1e-9
 Vec3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A point in R^3 with finite coordinates."""
+class Point3(tuple):
+    """A point in R^3 with finite coordinates.
 
-    x: float
-    y: float
-    z: float
+    The point is the ``(x, y, z)`` tuple itself, so ``math.dist`` and numpy
+    read it without conversion, and it compares equal to that tuple.
+    """
 
-    def __post_init__(self):
-        for c in (self.x, self.y, self.z):
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float) -> "Point3":
+        for c in (x, y, z):
             if not isinstance(c, (int, float)) or not math.isfinite(c):
                 raise ValueError(f"non-finite coordinate: {c!r}")
+        return tuple.__new__(cls, (x, y, z))
+
+    def __getnewargs__(self) -> Vec3:
+        # copy and pickle rebuild through __new__, which takes three coordinates
+        return tuple(self)
+
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
+    z = property(itemgetter(2))
 
     def as_tuple(self) -> Vec3:
-        return (self.x, self.y, self.z)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,7 @@ class Chain3D:
 
     def as_array(self) -> np.ndarray:
         """Vertices as an (n, 3) float array."""
-        return np.array([p.as_tuple() for p in self.points], dtype=float)
+        return np.array(self.points, dtype=float)
 
 
 def chain_from_coords(id: str, coords: Iterable[Sequence[float]]) -> Chain3D:
@@ -121,19 +132,19 @@ def dist(p: Point3, q: Point3) -> float:
     nonzero component, which keeps threshold comparisons on axis-aligned
     offsets honest.
     """
-    return math.dist(p.as_tuple(), q.as_tuple())
+    return math.dist(p, q)
 
 
 def apply_motion(motion: RigidMotion, chain: Chain3D) -> Chain3D:
     """Return a copy of the chain moved by ``motion`` (same id, same order)."""
     moved = chain.as_array() @ motion.matrix().T + motion.offset()
-    return Chain3D(chain.id, tuple(Point3(float(x), float(y), float(z)) for x, y, z in moved))
+    return Chain3D(chain.id, tuple(Point3(x, y, z) for x, y, z in moved.tolist()))
 
 
 def triangle_area(a: Point3, b: Point3, c: Point3) -> float:
     """Area of the triangle spanned by three points."""
-    u = np.array(b.as_tuple()) - np.array(a.as_tuple())
-    v = np.array(c.as_tuple()) - np.array(a.as_tuple())
+    u = np.subtract(b, a)
+    v = np.subtract(c, a)
     return 0.5 * float(np.linalg.norm(np.cross(u, v)))
 
 
@@ -156,7 +167,7 @@ def motion_from_triples(
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("motion_from_triples expects exactly three points per side")
     if triangle_area(*src) <= DEGENERATE_AREA_TOL:
-        raise DegenerateTriple(f"source triple is collinear: {[p.as_tuple() for p in src]}")
+        raise DegenerateTriple(f"source triple is collinear: {list(src)}")
     for i in range(3):
         for j in range(i + 1, 3):
             ds = dist(src[i], src[j])
@@ -166,8 +177,8 @@ def motion_from_triples(
                     f"pairwise distance mismatch at ({i}, {j}): |{ds} - {dd}| > {tolerance}"
                 )
 
-    a = np.array([p.as_tuple() for p in src], dtype=float)
-    b = np.array([p.as_tuple() for p in dst], dtype=float)
+    a = np.array(src, dtype=float)
+    b = np.array(dst, dtype=float)
     ca = a.mean(axis=0)
     cb = b.mean(axis=0)
     h = (a - ca).T @ (b - cb)

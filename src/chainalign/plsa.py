@@ -60,12 +60,23 @@ __all__ = [
     "validate_alignment_result",
     "ORACLE_LIMIT",
     "MAX_ARITY",
+    "MULTI_STATE_LIMIT",
 ]
 
 ORACLE_LIMIT = 18
 WALK_ORACLE_LIMIT = 16
 WALK_ORACLE_STATE_LIMIT = 30
 MAX_ARITY = 4
+# plsa_static_multi compares every pair of index tuples: 3 chains of 18
+# vertices (5832 tuples) take about 20 s when every tuple is compatible
+MULTI_STATE_LIMIT = 6000
+# numpy's sqrt of the summed squares and math.dist both take the norm of the
+# same rounded coordinate differences, each within 3 ulps of the exact norm
+# unless a square underflows; DIST_REL_SLACK covers both with room to spare,
+# and DIST_ABS_SLACK covers the sqrt(3 * 2**-1074) ~ 4e-162 absolute error of
+# underflowed squares
+DIST_REL_SLACK = 16 * np.finfo(float).eps
+DIST_ABS_SLACK = 1e-150
 
 NEG = float("-inf")
 
@@ -114,22 +125,17 @@ class AlignmentResult:
     common_chain: Chain3D | None
 
 
-def _pts(chain: Chain3D) -> list[tuple[float, float, float]]:
-    return [p.as_tuple() for p in chain.points]
-
-
-def star_compatible(points: Sequence[tuple[float, float, float]], delta: float) -> bool:
-    """True iff some member is within delta (closed) of all the others."""
-    d = math.dist
-    return any(all(d(c, p) <= delta for p in points) for c in points)
-
-
 def _star_center(points: Sequence[tuple[float, float, float]], delta: float) -> int | None:
     d = math.dist
     for c, cand in enumerate(points):
         if all(d(cand, p) <= delta for p in points):
             return c
     return None
+
+
+def star_compatible(points: Sequence[tuple[float, float, float]], delta: float) -> bool:
+    """True iff some member is within delta (closed) of all the others."""
+    return _star_center(points, delta) is not None
 
 
 def _empty_result(m: int) -> AlignmentResult:
@@ -143,6 +149,19 @@ def _subsequences_from_walk(steps: Sequence[tuple[int, ...]], m: int) -> tuple[t
             if not subs[c] or subs[c][-1] != step[c]:
                 subs[c].append(step[c])
     return tuple(tuple(s) for s in subs)
+
+
+def _finish(
+    rev_steps: list[tuple[int, ...]], value: int, chains: Sequence[Chain3D], delta: float
+) -> AlignmentResult:
+    """The result of a non-empty DP optimum from its 1-based traceback,
+    which lists the walk's steps end first."""
+    rev_steps.reverse()
+    walk = JointWalk(tuple(rev_steps))
+    subs = _subsequences_from_walk(rev_steps, len(chains))
+    if value != sum(len(s) for s in subs):
+        raise InvariantError("alignment value disagrees with its walk")
+    return AlignmentResult(value, subs, walk, reconstruct_common_chain(walk, chains, delta))
 
 
 def reconstruct_common_chain(
@@ -159,7 +178,7 @@ def reconstruct_common_chain(
     """
     if not walk.steps:
         return None
-    pts = [_pts(c) for c in chains]
+    pts = [c.points for c in chains]
     picked: list[tuple[int, int]] = []
     for step in walk.steps:
         tup = [pts[c][idx - 1] for c, idx in enumerate(step)]
@@ -175,7 +194,7 @@ def reconstruct_common_chain(
 def validate_joint_walk(walk: JointWalk, chains: Sequence[Chain3D], delta: float) -> None:
     """Raise InvariantError unless the walk is well-formed and delta-compatible."""
     m = len(chains)
-    pts = [_pts(c) for c in chains]
+    pts = [c.points for c in chains]
     for step in walk.steps:
         if len(step) != m:
             raise InvariantError(f"step arity {len(step)} != {m}")
@@ -247,7 +266,7 @@ def plsa_static_pair(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
     which the prefix-maximum implementation is checked exactly.
     """
     check_threshold(delta)
-    pa, pb = _pts(a), _pts(b)
+    pa, pb = a.points, b.points
     n1, n2 = len(pa), len(pb)
     d = math.dist
 
@@ -300,22 +319,36 @@ def plsa_static_pair(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
 
     if best_cell is None:
         return _empty_result(2)
-    steps: list[tuple[int, int]] = []
+    steps: list[tuple[int, ...]] = []
     cur: tuple[int, int] | None = best_cell
     while cur is not None:
         steps.append((cur[0] + 1, cur[1] + 1))
         cur = pred[cur[0]][cur[1]]
-    steps.reverse()
-    walk = JointWalk(tuple(steps))
-    subs = _subsequences_from_walk(steps, 2)
-    if best_val != sum(len(s) for s in subs):
-        raise InvariantError("alignment value disagrees with its walk")
-    return AlignmentResult(best_val, subs, walk, reconstruct_common_chain(walk, (a, b), delta))
+    return _finish(steps, best_val, (a, b), delta)
 
 
 # ---------------------------------------------------------------------------
 # prefix-maximum dynamic program (two chains, quadratic total work)
 # ---------------------------------------------------------------------------
+
+def _within_delta(a: Chain3D, b: Chain3D, delta: float) -> np.ndarray:
+    """The (|A|, |B|) matrix of math.dist(a_i, b_j) <= delta, bit for bit.
+
+    numpy computes every distance; the cells it places within rounding
+    slack of delta, or at inf (an overflowed square), are re-decided with
+    math.dist as the reference does.
+    """
+    diff = a.as_array()[:, None, :] - b.as_array()[None, :, :]
+    dmat = np.einsum("ijk,ijk->ij", diff, diff)
+    np.sqrt(dmat, out=dmat)
+    valid = dmat <= delta
+    slack = DIST_REL_SLACK * delta + DIST_ABS_SLACK
+    unsure = (dmat >= delta - slack) & ((dmat <= delta + slack) | (dmat == np.inf))
+    pa, pb = a.points, b.points
+    for i, j in zip(*np.nonzero(unsure)):
+        valid[i, j] = math.dist(pa[i], pb[j]) <= delta
+    return valid
+
 
 def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
     """Same contract and tie-breaking as plsa_static_pair in O(|A| |B|).
@@ -327,11 +360,8 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
     row maximum).  Values agree with the reference exactly.
     """
     check_threshold(delta)
-    arr_a, arr_b = a.as_array(), b.as_array()
-    n1, n2 = len(arr_a), len(arr_b)
-    diff = arr_a[:, None, :] - arr_b[None, :, :]
-    dmat = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    valid = dmat <= delta
+    n1, n2 = len(a), len(b)
+    valid = _within_delta(a, b, delta)
 
     t = np.full((n1, n2), NEG)
     case = np.zeros((n1, n2), dtype=np.int8)  # 1 fresh, 2 both, 3 A, 4 B
@@ -392,19 +422,14 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
 
     if best_cell is None:
         return _empty_result(2)
-    steps: list[tuple[int, int]] = []
+    steps: list[tuple[int, ...]] = []
     ci, cj = best_cell
     while ci >= 0:
         steps.append((ci + 1, cj + 1))
         if case[ci, cj] == 1:
             break
         ci, cj = int(predk[ci, cj]), int(predl[ci, cj])
-    steps.reverse()
-    walk = JointWalk(tuple(steps))
-    subs = _subsequences_from_walk(steps, 2)
-    if best_val != sum(len(s) for s in subs):
-        raise InvariantError("alignment value disagrees with its walk")
-    return AlignmentResult(best_val, subs, walk, reconstruct_common_chain(walk, (a, b), delta))
+    return _finish(steps, best_val, (a, b), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +440,10 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
     """Optimal alignment of 2..4 chains under per-step star compatibility.
 
     The state space is every index tuple; each state scans all componentwise
-    smaller states, so this is for desk-scale chains.  With two chains the
-    star condition degenerates to the pair condition and the result matches
-    plsa_static_pair exactly.
+    smaller states, so this is for desk-scale chains: more than
+    MULTI_STATE_LIMIT index tuples raise TooLarge before any work.  With two
+    chains the star condition degenerates to the pair condition and the
+    result matches plsa_static_pair exactly.
     """
     m = len(chains)
     if m < 2:
@@ -425,8 +451,13 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
     if m > MAX_ARITY:
         raise UnsupportedArity(f"{m} chains exceed the supported maximum of {MAX_ARITY}")
     check_threshold(delta)
-    pts = [_pts(c) for c in chains]
-    shape = tuple(len(p) for p in pts)
+    shape = tuple(len(c) for c in chains)
+    if math.prod(shape) > MULTI_STATE_LIMIT:
+        raise TooLarge(
+            f"{math.prod(shape)} index tuples ({' x '.join(map(str, shape))}) exceed "
+            f"the multi-chain limit of {MULTI_STATE_LIMIT}"
+        )
+    pts = [c.points for c in chains]
 
     states = list(np.ndindex(shape))
     ok = {
@@ -458,17 +489,12 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
 
     if best_state is None:
         return _empty_result(m)
-    rev: list[tuple[int, ...]] = []
+    steps: list[tuple[int, ...]] = []
     cur: tuple[int, ...] | None = best_state
     while cur is not None:
-        rev.append(tuple(c + 1 for c in cur))
+        steps.append(tuple(c + 1 for c in cur))
         cur = pred[cur]
-    rev.reverse()
-    walk = JointWalk(tuple(rev))
-    subs = _subsequences_from_walk(rev, m)
-    if best_val != sum(len(s) for s in subs):
-        raise InvariantError("alignment value disagrees with its walk")
-    return AlignmentResult(best_val, subs, walk, reconstruct_common_chain(walk, chains, delta))
+    return _finish(steps, best_val, chains, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +539,7 @@ def plsa_oracle(chains: Sequence[Chain3D], delta: float) -> int:
     sizes = [len(c) for c in chains]
     if sum(sizes) > ORACLE_LIMIT:
         raise TooLarge(f"total vertex count {sum(sizes)} exceeds {ORACLE_LIMIT}")
-    pts = [_pts(c) for c in chains]
+    pts = [c.points for c in chains]
     d = math.dist
     ok2: list[list[bool]] | None = None
     if m == 2:
@@ -569,7 +595,7 @@ def plsa_oracle_walks(chains: Sequence[Chain3D], delta: float) -> int:
     sizes = [len(c) for c in chains]
     if sum(sizes) > WALK_ORACLE_LIMIT:
         raise TooLarge(f"total vertex count {sum(sizes)} exceeds {WALK_ORACLE_LIMIT}")
-    pts = [_pts(c) for c in chains]
+    pts = [c.points for c in chains]
     valid = [
         s for s in np.ndindex(*sizes)
         if star_compatible([pts[c][s[c]] for c in range(m)], delta)

@@ -230,11 +230,11 @@ def measure_reduction_properties(
     corrupted.
     """
     check_threshold(gap_factor, "gap_factor")
-    occ: list[tuple[Label, tuple[float, float, float]]] = []
-    seen: set[tuple[Label, tuple[float, float, float]]] = set()
+    occ: list[tuple[Label, Point3]] = []
+    seen: set[tuple[Label, Point3]] = set()
     for chain, labels in zip(inst.chains, inst.label_map):
         for pt, lbl in zip(chain.points, labels):
-            key = (lbl, pt.as_tuple())
+            key = (lbl, pt)
             if key not in seen:
                 seen.add(key)
                 occ.append(key)
@@ -276,7 +276,7 @@ def measure_reduction_properties(
 
     min_sep, sep_wit = math.inf, None
     for chain in inst.chains:
-        pts = [p.as_tuple() for p in chain.points]
+        pts = chain.points
         nseg = len(pts) - 1
         for s in range(nseg):
             for t in range(s + 2, nseg):
@@ -422,8 +422,7 @@ def subsequence_match_decision(common: Chain3D, chain: Chain3D, delta: float) ->
     O(|common| * |chain|) via prefix ors.
     """
     check_threshold(delta)
-    cp = [p.as_tuple() for p in common.points]
-    pp = [p.as_tuple() for p in chain.points]
+    cp, pp = common.points, chain.points
     d = math.dist
     m = len(pp)
     f_prev = [False] * m

@@ -71,7 +71,7 @@ class RunReport:
             out["seed"] = self.seed
         if self.chains is not None:
             out["chains"] = [
-                {"name": c.id, "vertices": [list(p.as_tuple()) for p in c.points]}
+                {"name": c.id, "vertices": [list(p) for p in c.points]}
                 for c in self.chains
             ]
         out["elapsed_ms"] = self.elapsed_ms

@@ -115,8 +115,7 @@ def enumerate_candidate_motions(
     d = math.dist
     ta_pool = list(itertools.combinations(range(len(a)), 3))
     tb_pool = list(itertools.combinations(range(len(b)), 3))
-    pa = [p.as_tuple() for p in a.points]
-    pb = [p.as_tuple() for p in b.points]
+    pa, pb = a.points, b.points
     for ia in ta_pool:
         da = [d(pa[ia[0]], pa[ia[1]]), d(pa[ia[0]], pa[ia[2]]), d(pa[ia[1]], pa[ia[2]])]
         for ib in tb_pool:
@@ -125,8 +124,8 @@ def enumerate_candidate_motions(
             db = [d(pb[ib[0]], pb[ib[1]]), d(pb[ib[0]], pb[ib[2]]), d(pb[ib[1]], pb[ib[2]])]
             if any(abs(x - y) > tol for x, y in zip(da, db)):
                 continue
-            src = tuple(b.points[k] for k in ib)
-            dst = tuple(a.points[k] for k in ia)
+            src = tuple(pb[k] for k in ib)
+            dst = tuple(pa[k] for k in ia)
             try:
                 motion = motion_from_triples(src, dst, tolerance=tol)
             except (DegenerateTriple, IncompatibleTriple):

@@ -6,6 +6,7 @@ import pytest
 
 from chainalign.chainio import parse_chain_file
 from chainalign.cli import main
+from chainalign.plsa import MULTI_STATE_LIMIT, plsa_static_pair
 from chainalign.reduction import build_reduction, Graph
 
 FIVE_VERTEX_GRAPH = "5 6\n2 3\n2 4\n1 2\n1 4\n3 4\n4 5\n"
@@ -74,12 +75,16 @@ def test_plsa_on_generated_chains(tmp_path, capsys):
     main(["gen-hard", fg, "--out", str(out)])
     capsys.readouterr()
     args = [str(out / "P0.chain"), str(out / "P3.chain"), "--delta", "0.05", "--format", "json"]
-    slow = run_json(capsys, ["plsa"] + args)
+    plain = run_json(capsys, ["plsa"] + args)
     fast = run_json(capsys, ["plsa"] + args + ["--fast"])
-    assert slow["value"] == 9
-    assert fast["value"] == 9
-    assert slow["walk"] == fast["walk"]
-    assert slow["subsequences"] == fast["subsequences"]
+    plain.pop("elapsed_ms")
+    fast.pop("elapsed_ms")
+    assert plain == fast  # --fast has no effect
+    a, b = (parse_chain_file((out / f).read_text()).chains[0] for f in ("P0.chain", "P3.chain"))
+    ref = plsa_static_pair(a, b, 0.05)
+    assert plain["value"] == ref.value == 9
+    assert plain["walk"] == [list(s) for s in ref.walk.steps]
+    assert plain["subsequences"] == [list(s) for s in ref.subsequences]
 
 
 def test_plsa_three_chains(tmp_path, capsys):
@@ -187,6 +192,16 @@ def test_unreadable_or_unparseable_input_exits_2(tmp_path, capsys):
     assert err.count("error:") == 5
 
 
+def test_multi_chain_files_are_rejected(tmp_path, capsys):
+    one = write(tmp_path / "one.chain", chain_text([(0, 0, 0)]))
+    two = write(tmp_path / "two.chain", ">p\n0 0 0\n>q\n1 0 0\n")
+    assert main(["plsa", one, two, "--delta", "1"]) == 2
+    assert main(["dfd", two, one]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("holds 2 chains") == 2
+
+
 def test_bad_parameters_exit_3(tmp_path, capsys):
     fa = write(tmp_path / "a.chain", chain_text([(0, 0, 0)]))
     fb = write(tmp_path / "b.chain", chain_text([(1, 0, 0)]))
@@ -196,6 +211,9 @@ def test_bad_parameters_exit_3(tmp_path, capsys):
     assert main(["plsa-rigid", fa, fb, "--delta", "1", "--budget", "0"]) == 3
     assert main(["gen-hard", fg, "--delta", "0.5", "--out", str(tmp_path / "o")]) == 3
     assert main(["verify-reduction", big]) == 3
+    long = write(tmp_path / "long.chain", chain_text([(i, 0, 0) for i in range(30)]))
+    assert 30 ** 4 > MULTI_STATE_LIMIT
+    assert main(["plsa", long, long, long, long, "--delta", "1"]) == 3
     capsys.readouterr()
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from decimal import Decimal, getcontext
 
@@ -74,6 +76,21 @@ def test_point_rejects_non_finite():
         Point3(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         Point3(0.0, float("inf"), 0.0)
+    with pytest.raises(ValueError):
+        Point3(0.0, 0.0, "1")
+
+
+def test_point_is_its_coordinate_tuple():
+    p = Point3(x=1.5, y=-2.0, z=0.25)
+    assert p == (1.5, -2.0, 0.25)
+    assert (p.x, p.y, p.z) == tuple(p) == p.as_tuple()
+    assert type(p.as_tuple()) is tuple
+    assert hash(p) == hash((1.5, -2.0, 0.25))
+    with pytest.raises(AttributeError):
+        p.x = 3.0
+    # copies and pickles rebuild through the checked constructor
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is Point3 and twin == p
 
 
 def test_chain_basics():

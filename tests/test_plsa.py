@@ -14,6 +14,7 @@ from chainalign.errors import (
 from chainalign.frechet import discrete_frechet
 from chainalign.geometry import Chain3D, Point3, chain_from_coords
 from chainalign.plsa import (
+    MULTI_STATE_LIMIT,
     AlignmentResult,
     JointWalk,
     plsa_oracle,
@@ -75,6 +76,24 @@ def test_fast_equals_reference_everywhere():
             assert f.common_chain is None
         else:
             assert r.common_chain.points == f.common_chain.points
+
+
+@pytest.mark.parametrize("p, q, delta, value", [
+    # numpy's sqrt(einsum) rounds this distance one ulp above math.dist
+    ((4.8, 3.7, -2.1), (4.6, 0.4, 1.8), 5.112729212465687, 2),
+    # and this one one ulp below, at a delta equal to numpy's value
+    ((-0.9, -2.6, 0.9), (3.3, -0.4, -0.8), 5.036864103785211, 0),
+    # numpy's square overflows to inf, math.dist stays finite
+    ((1e200, 0.0, 0.0), (-1e200, 0.0, 0.0), 2e200, 2),
+    # numpy's square underflows to 0, math.dist does not
+    ((1e-300, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0),
+])
+def test_fast_equals_reference_at_the_threshold(p, q, delta, value):
+    a, b = chain_from_coords("a", [p]), chain_from_coords("b", [q])
+    r = plsa_static_pair(a, b, delta)
+    f = plsa_static_pair_fast(a, b, delta)
+    assert r.value == f.value == value
+    assert (r.walk, r.subsequences, r.common_chain) == (f.walk, f.subsequences, f.common_chain)
 
 
 def test_multi_with_two_chains_equals_pair():
@@ -234,6 +253,11 @@ def test_guards():
         plsa_static_multi((a,), 1.0)
     with pytest.raises(UnsupportedArity):
         plsa_static_multi((a, a, a, a, a), 1.0)
+    assert 18 ** 3 <= MULTI_STATE_LIMIT  # three chains of 18 still run
+    for shape in ((30, 30, 30, 30), (MULTI_STATE_LIMIT + 1, 1)):
+        chains = [chain_from_coords("c", [(float(i), 0, 0) for i in range(n)]) for n in shape]
+        with pytest.raises(TooLarge):
+            plsa_static_multi(chains, 1.0)
     with pytest.raises(NegativeDelta):
         plsa_static_pair(a, a, -1.0)
     with pytest.raises(NegativeDelta):
