@@ -58,7 +58,6 @@ from .geometry import (
 from .plsa import (
     AlignmentResult,
     JointWalk,
-    PlsaInstance,
     plsa_oracle,
     plsa_oracle_walks,
     plsa_static_multi,
@@ -113,7 +112,6 @@ __all__ = [
     "NoCaAtoms",
     "PairedWalk",
     "ParseError",
-    "PlsaInstance",
     "Point3",
     "PreconditionError",
     "PropertyViolation",

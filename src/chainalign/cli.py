@@ -9,9 +9,10 @@ several is rejected with exit 2) or PDB files when the path ends in .pdb,
 optionally narrowed with --pdb-chain.
 
 plsa aligns two chains with the quadratic prefix-maximum DP, whose values,
-walks and tie-breaks equal the quartic reference's; --fast is accepted and
-has no effect.  Three or four chains run the multi-chain DP, which
-refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).
+walks and tie-breaks equal the quartic reference's, and which refuses more
+than plsa.PAIR_CELL_LIMIT cells (exit 3, also for plsa-rigid); --fast is
+accepted and has no effect.  Three or four chains run the multi-chain DP,
+which refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).
 """
 
 from __future__ import annotations

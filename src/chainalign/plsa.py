@@ -46,7 +46,6 @@ from .frechet import discrete_frechet, frechet_decision
 from .geometry import Chain3D
 
 __all__ = [
-    "PlsaInstance",
     "JointWalk",
     "AlignmentResult",
     "plsa_static_pair",
@@ -61,6 +60,7 @@ __all__ = [
     "ORACLE_LIMIT",
     "MAX_ARITY",
     "MULTI_STATE_LIMIT",
+    "PAIR_CELL_LIMIT",
 ]
 
 ORACLE_LIMIT = 18
@@ -70,6 +70,9 @@ MAX_ARITY = 4
 # plsa_static_multi compares every pair of index tuples: 3 chains of 18
 # vertices (5832 tuples) take about 20 s when every tuple is compatible
 MULTI_STATE_LIMIT = 6000
+# plsa_static_pair_fast holds about 16 bytes per cell at its peak, so
+# 5000 x 5000 cells take about 0.4 GB
+PAIR_CELL_LIMIT = 25_000_000
 # numpy's sqrt of the summed squares and math.dist both take the norm of the
 # same rounded coordinate differences, each within 3 ulps of the exact norm
 # unless a square underflows; DIST_REL_SLACK covers both with room to spare,
@@ -79,21 +82,6 @@ DIST_REL_SLACK = 16 * np.finfo(float).eps
 DIST_ABS_SLACK = 1e-150
 
 NEG = float("-inf")
-
-
-@dataclass(frozen=True)
-class PlsaInstance:
-    """A family of chains plus the distance threshold they are aligned under."""
-
-    chains: tuple[Chain3D, ...]
-    delta: float
-
-    def __post_init__(self):
-        if not isinstance(self.chains, tuple):
-            object.__setattr__(self, "chains", tuple(self.chains))
-        if len(self.chains) < 2:
-            raise ValueError("an alignment instance needs at least two chains")
-        check_threshold(self.delta)
 
 
 @dataclass(frozen=True)
@@ -338,8 +326,15 @@ def _within_delta(a: Chain3D, b: Chain3D, delta: float) -> np.ndarray:
     slack of delta, or at inf (an overflowed square), are re-decided with
     math.dist as the reference does.
     """
-    diff = a.as_array()[:, None, :] - b.as_array()[None, :, :]
-    dmat = np.einsum("ijk,ijk->ij", diff, diff)
+    pa, pb = a.as_array(), b.as_array()
+    dmat = np.zeros((len(pa), len(pb)))
+    diff = np.empty_like(dmat)
+    with np.errstate(over="ignore"):  # an overflowed square is re-decided
+        for k in range(3):
+            np.subtract.outer(pa[:, k], pb[:, k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            dmat += diff
+    del diff
     np.sqrt(dmat, out=dmat)
     valid = dmat <= delta
     slack = DIST_REL_SLACK * delta + DIST_ABS_SLACK
@@ -353,82 +348,68 @@ def _within_delta(a: Chain3D, b: Chain3D, delta: float) -> np.ndarray:
 def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
     """Same contract and tie-breaking as plsa_static_pair in O(|A| |B|).
 
-    The three predecessor scans collapse into running maxima: per-column
-    maxima for A-advances, a rectangle prefix maximum for both-advances,
-    and the previous valid cell of the current row for B-advances (row
-    values increase strictly along valid cells, so that cell is the unique
-    row maximum).  Values agree with the reference exactly.
+    The three predecessor scans collapse into running maxima: a rectangle
+    prefix maximum for both-advances, and for A- and B-advances the
+    previous valid cell of the current column or row (values increase
+    strictly along the valid cells of a row or column, so that cell is the
+    unique maximum).  Values agree with the reference exactly.  More than
+    PAIR_CELL_LIMIT cells raise TooLarge before any allocation.
     """
     check_threshold(delta)
     n1, n2 = len(a), len(b)
+    if n1 * n2 > PAIR_CELL_LIMIT:
+        raise TooLarge(
+            f"{n1 * n2} cells ({n1} x {n2}) exceed the pair limit of {PAIR_CELL_LIMIT}"
+        )
     valid = _within_delta(a, b, delta)
+    # pred[i, j]: flat index k * n2 + l of the step before (i, j) on the
+    # cell's optimal walk; -1 where that walk starts
+    pred = np.full((n1, n2), -1, dtype=np.int64)
 
-    t = np.full((n1, n2), NEG)
-    case = np.zeros((n1, n2), dtype=np.int8)  # 1 fresh, 2 both, 3 A, 4 B
-    predk = np.full((n1, n2), -1, dtype=np.int64)
-    predl = np.full((n1, n2), -1, dtype=np.int64)
-
-    colmax_val = np.full(n2, NEG)
-    colmax_row = np.full(n2, -1, dtype=np.int64)
-    rect_val = np.full(n2, NEG)  # max over rows < current, cols <= j
-    rect_i = np.full(n2, -1, dtype=np.int64)
-    rect_j = np.full(n2, -1, dtype=np.int64)
+    col_val = np.full(n2, NEG)  # last valid cell above row i in column j
+    col_arg = np.full(n2, -1, dtype=np.int64)
+    rect_val = np.full(n2, NEG)  # max over rows < i, cols < j
+    rect_arg = np.full(n2, -1, dtype=np.int64)
+    row = np.empty(n2)
     cols = np.arange(n2)
 
     best_val = 0
-    best_cell: tuple[int, int] | None = None
+    best = -1
 
     for i in range(n1):
         vc = np.flatnonzero(valid[i])
-        if vc.size:
-            both_val = np.concatenate(([NEG], rect_val[:-1]))[vc] + 2.0
-            both_i = np.concatenate(([-1], rect_i[:-1]))[vc]
-            both_j = np.concatenate(([-1], rect_j[:-1]))[vc]
-            col_val = colmax_val[vc] + 1.0
-            base = np.maximum(2.0, np.maximum(both_val, col_val))
-            pos = np.arange(vc.size)
-            x = pos + np.maximum.accumulate(base - pos)
+        if not vc.size:
+            continue
+        both = rect_val[vc] + 2.0
+        up = col_val[vc] + 1.0
+        base = np.maximum(2.0, np.maximum(both, up))
+        pos = cols[: vc.size]
+        x = pos + np.maximum.accumulate(base - pos)
+        flat = i * n2 + vc
+        pred[i, vc] = np.where(
+            x > base, np.concatenate(([-1], flat[:-1])),
+            np.where(both == x, rect_arg[vc], np.where(up == x, col_arg[vc], -1)),
+        )
+        if x[-1] > best_val:
+            best_val, best = int(x[-1]), int(flat[-1])
 
-            is_b = x > base
-            c = np.where(
-                is_b, 4, np.where(both_val == x, 2, np.where(col_val == x, 3, 1))
-            ).astype(np.int8)
-            prev_vc = np.concatenate(([-1], vc[:-1]))
-            pk = np.select([c == 2, c == 3, c == 4], [both_i, colmax_row[vc], np.full(vc.size, i)], -1)
-            pl = np.select([c == 2, c == 3, c == 4], [both_j, vc, prev_vc], -1)
+        col_val[vc] = x
+        col_arg[vc] = flat
+        row.fill(NEG)
+        row[vc] = x
+        prefix = np.maximum.accumulate(row)[:-1]
+        last = np.maximum.accumulate(np.where(valid[i], cols, -1))[:-1]
+        better = prefix > rect_val[1:]
+        rect_val[1:][better] = prefix[better]
+        rect_arg[1:][better] = i * n2 + last[better]
 
-            t[i, vc] = x
-            case[i, vc] = c
-            predk[i, vc] = pk
-            predl[i, vc] = pl
-
-            row = t[i]
-            rmax = float(np.max(x))
-            if rmax > best_val:
-                best_val = int(rmax)
-                best_cell = (i, int(np.argmax(row)))
-
-            better = row > colmax_val
-            colmax_row = np.where(better, i, colmax_row)
-            colmax_val = np.where(better, row, colmax_val)
-
-            rr_val = np.maximum.accumulate(row)
-            prior = np.concatenate(([NEG], rr_val[:-1]))
-            rr_idx = np.maximum.accumulate(np.where(row > prior, cols, -1))
-            better = rr_val > rect_val
-            rect_i = np.where(better, i, rect_i)
-            rect_j = np.where(better, rr_idx, rect_j)
-            rect_val = np.where(better, rr_val, rect_val)
-
-    if best_cell is None:
+    if best < 0:
         return _empty_result(2)
     steps: list[tuple[int, ...]] = []
-    ci, cj = best_cell
-    while ci >= 0:
-        steps.append((ci + 1, cj + 1))
-        if case[ci, cj] == 1:
-            break
-        ci, cj = int(predk[ci, cj]), int(predl[ci, cj])
+    while best >= 0:
+        i, j = divmod(best, n2)
+        steps.append((i + 1, j + 1))
+        best = int(pred.flat[best])
     return _finish(steps, best_val, (a, b), delta)
 
 

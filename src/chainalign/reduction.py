@@ -239,30 +239,26 @@ def measure_reduction_properties(
                 seen.add(key)
                 occ.append(key)
 
+    # pairs collects the distances of index-distinct pairs for the gap below
     min_cross, cross_wit = math.inf, None
     max_same, same_wit = 0.0, None
+    pairs: list[tuple[float, frozenset[int], tuple[Label, Label]]] = []
     for x in range(len(occ)):
         (lx, px) = occ[x]
         for y in range(x + 1, len(occ)):
             (ly, py) = occ[y]
             d = math.dist(px, py)
             if lx[0] != ly[0]:
+                pairs.append((d, frozenset((lx[0], ly[0])), (lx, ly)))
                 if d < min_cross:
                     min_cross, cross_wit = d, (lx, ly)
             elif lx[1] != ly[1]:
                 if d > max_same:
                     max_same, same_wit = d, (lx, ly)
 
-    # distances of index-distinct pairs, then the closest pair of pairs
-    # covering four distinct indices; scanning sorted distances and stopping
-    # at the first index-disjoint successor is exact for the minimum gap
-    pairs: list[tuple[float, frozenset[int], tuple[Label, Label]]] = []
-    for x in range(len(occ)):
-        (lx, px) = occ[x]
-        for y in range(x + 1, len(occ)):
-            (ly, py) = occ[y]
-            if lx[0] != ly[0]:
-                pairs.append((math.dist(px, py), frozenset((lx[0], ly[0])), (lx, ly)))
+    # the closest pair of pairs covering four distinct indices; scanning
+    # sorted distances and stopping at the first index-disjoint successor is
+    # exact for the minimum gap
     pairs.sort(key=lambda t: t[0])
     min_gap, gap_wit = math.inf, None
     for x in range(len(pairs)):

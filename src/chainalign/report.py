@@ -143,7 +143,9 @@ def report_walk(data: dict, arity: int) -> tuple[tuple[int, ...], ...]:
     for step in raw:
         if not isinstance(step, list) or len(step) != arity:
             raise InputError(f"walk step {step!r} does not index {arity} chains")
-        steps.append(tuple(int(v) for v in step))
+        if any(type(v) is not int for v in step):
+            raise InputError(f"walk step {step!r} holds a non-integer index")
+        steps.append(tuple(step))
     return tuple(steps)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from chainalign.chainio import parse_chain_file
 from chainalign.cli import main
-from chainalign.plsa import MULTI_STATE_LIMIT, plsa_static_pair
+from chainalign.plsa import MULTI_STATE_LIMIT, PAIR_CELL_LIMIT, plsa_static_pair
 from chainalign.reduction import build_reduction, Graph
 
 FIVE_VERTEX_GRAPH = "5 6\n2 3\n2 4\n1 2\n1 4\n3 4\n4 5\n"
@@ -156,6 +156,10 @@ def test_render_produces_svg(tmp_path, capsys):
     assert root.tag.endswith("svg")
     matches = [el for el in root.iter() if el.get("class") == "match"]
     assert len(matches) == len(data["walk"])
+    data["walk"][0] = [True, "1"]  # coerced to (1, 1) before
+    tampered = write(tmp_path / "tampered.json", json.dumps(data))
+    assert main(["render", tampered, "--out", str(tmp_path / "t.svg")]) == 2
+    assert "non-integer index" in capsys.readouterr().err
 
 
 def test_pdb_inputs(tmp_path, capsys):
@@ -214,6 +218,10 @@ def test_bad_parameters_exit_3(tmp_path, capsys):
     long = write(tmp_path / "long.chain", chain_text([(i, 0, 0) for i in range(30)]))
     assert 30 ** 4 > MULTI_STATE_LIMIT
     assert main(["plsa", long, long, long, long, "--delta", "1"]) == 3
+    huge = write(tmp_path / "huge.chain", chain_text([(i, 0, 0) for i in range(5001)]))
+    assert 5001 * 5001 > PAIR_CELL_LIMIT
+    assert main(["plsa", huge, huge, "--delta", "1"]) == 3
+    assert main(["plsa-rigid", huge, huge, "--delta", "1"]) == 3
     capsys.readouterr()
 
 

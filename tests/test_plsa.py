@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from chainalign.frechet import discrete_frechet
 from chainalign.geometry import Chain3D, Point3, chain_from_coords
 from chainalign.plsa import (
     MULTI_STATE_LIMIT,
+    PAIR_CELL_LIMIT,
     AlignmentResult,
     JointWalk,
     plsa_oracle,
@@ -272,6 +274,30 @@ def test_guards():
     big = chain_from_coords("big", [(float(i), 0, 0) for i in range(10)])
     with pytest.raises(TooLarge):
         plsa_oracle((big, big), 1.0)
+    assert 3000 * 3000 <= PAIR_CELL_LIMIT  # the north-star size still runs
+    wide = chain_from_coords("wide", [(float(i), 0, 0) for i in range(5001)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            plsa_static_pair_fast(wide, wide, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # raised before the distance matrix exists
+
+
+def test_fast_pair_memory_per_cell():
+    rng = random.Random(83)
+    a = rand_chain(rng, "a", 600, hi=1.0)
+    b = rand_chain(rng, "b", 600, hi=1.0)
+    tracemalloc.start()
+    try:
+        result = plsa_static_pair_fast(a, b, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == 1200  # every cell is valid
+    assert peak <= 20 * 600 * 600
 
 
 def test_deterministic_across_runs():

@@ -90,6 +90,9 @@ def test_parse_report_rejects_non_reports():
         report_walk({"command": "align"}, 2)
     with pytest.raises(InputError):
         report_walk({"walk": [[1, 1, 1]]}, 2)
+    for step in ([1.5, 2], [True, 3], [1, "3"], [2.0, 1], [None, 1]):
+        with pytest.raises(InputError):
+            report_walk({"walk": [[1, 1], step]}, 2)
 
 
 def svg_root(text):
