@@ -42,7 +42,8 @@ class SearchConfig:
     order; mode "random" draws uniformly random rotations with vertex-pair
     anchored translations from a seeded generator.  budget caps how many
     candidates are produced.  prune_tolerance is the congruence slack for
-    the triples mode; None means 2 * delta at search time.
+    the triples mode; None means 2 * delta at search time.  budget must be
+    an int >= 1 (a bool is rejected).
     """
 
     mode: str = "triples"
@@ -53,8 +54,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 1:
+            raise ValueError(f"budget must be an int >= 1, got {self.budget!r}")
         if self.prune_tolerance is not None:
             check_threshold(self.prune_tolerance, "prune_tolerance")
 
@@ -94,6 +95,11 @@ def enumerate_candidate_motions(
     onto the a-triple.  Random mode yields rotations drawn uniformly with a
     translation matching a random b-vertex to a random a-vertex.
 
+    The triples scan reads the math.dist edge lengths of each chain from an
+    (n, n) table and tests all b-triples of one a-triple with numpy, so its
+    memory is O(len(a)**2 + len(b)**2) and the stream is the one a pair-by-
+    pair loop over both lexicographic triple lists would produce.
+
     The stream is deterministic for a fixed (a, b, delta, config).
     """
     check_threshold(delta)
@@ -111,27 +117,52 @@ def enumerate_candidate_motions(
             yield RigidMotion(rot, t)
         return
 
-    produced = 0
-    d = math.dist
-    ta_pool = list(itertools.combinations(range(len(a)), 3))
-    tb_pool = list(itertools.combinations(range(len(b)), 3))
     pa, pb = a.points, b.points
-    for ia in ta_pool:
-        da = [d(pa[ia[0]], pa[ia[1]]), d(pa[ia[0]], pa[ia[2]]), d(pa[ia[1]], pa[ia[2]])]
-        for ib in tb_pool:
-            if produced >= config.budget:
-                return
-            db = [d(pb[ib[0]], pb[ib[1]]), d(pb[ib[0]], pb[ib[2]]), d(pb[ib[1]], pb[ib[2]])]
-            if any(abs(x - y) > tol for x, y in zip(da, db)):
-                continue
-            src = tuple(pb[k] for k in ib)
-            dst = tuple(pa[k] for k in ia)
-            try:
-                motion = motion_from_triples(src, dst, tolerance=tol)
-            except (DegenerateTriple, IncompatibleTriple):
-                continue
-            produced += 1
-            yield motion
+    ea, eb = _edge_table(pa), _edge_table(pb)
+    upper = np.triu(np.ones((len(pb), len(pb)), dtype=bool), 1)
+
+    def near(x: float) -> np.ndarray:
+        # b-edges (j < k) not farther than tol from x, with the floats of the
+        # pair loop's abs(x - y) > tol (negating a difference is exact); a
+        # NaN difference (inf - inf) is not "far" there either
+        with np.errstate(invalid="ignore"):
+            return ~(np.abs(eb - x) > tol) & upper
+
+    produced = 0
+    # a-triples (i0, i1, i2) in lexicographic order; the b-pairs (j0, j1)
+    # that match the first edge are shared by every i2
+    for i0, i1 in itertools.combinations(range(len(pa)), 2):
+        j0, j1 = np.nonzero(near(ea[i0, i1]))
+        if not len(j0):
+            continue
+        for i2 in range(i1 + 1, len(pa)):
+            near02, near12 = near(ea[i0, i2]), near(ea[i1, i2])
+            dst = (pa[i0], pa[i1], pa[i2])
+            # len(pb) b-pairs at a time, so a block is no larger than a table
+            for s in range(0, len(j0), len(pb)):
+                b0, b1 = j0[s:s + len(pb)], j1[s:s + len(pb)]
+                rows, j2 = np.nonzero(near02[b0] & near12[b1])
+                for k0, k1, k2 in zip(b0[rows].tolist(), b1[rows].tolist(), j2.tolist()):
+                    try:
+                        motion = motion_from_triples(
+                            (pb[k0], pb[k1], pb[k2]), dst, tolerance=tol
+                        )
+                    except (DegenerateTriple, IncompatibleTriple):
+                        continue
+                    produced += 1
+                    yield motion
+                    if produced >= config.budget:
+                        return
+
+
+def _edge_table(points: tuple) -> np.ndarray:
+    """(n, n) table of math.dist(points[i], points[j]) for i < j, 0 elsewhere."""
+    n = len(points)
+    table = np.zeros((n, n))
+    table[np.triu_indices(n, 1)] = [
+        math.dist(p, q) for p, q in itertools.combinations(points, 2)
+    ]
+    return table
 
 
 def plsa_rigid_pair(

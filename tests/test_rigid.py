@@ -1,13 +1,25 @@
+import functools
 import itertools
 import math
 import random
+import tracemalloc
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainalign.errors import InvalidThreshold
-from chainalign.geometry import RigidMotion, apply_motion, chain_from_coords, dist
+from chainalign import rigid
+from chainalign.errors import DegenerateTriple, IncompatibleTriple, InvalidThreshold
+from chainalign.geometry import (
+    RigidMotion, apply_motion, chain_from_coords, dist, motion_from_triples,
+)
 from chainalign.plsa import plsa_static_pair_fast
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
+
+# fixed examples, so a run is reproducible and leaves no example database
+fixed_examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def rodrigues(axis, angle):
@@ -119,10 +131,125 @@ def test_search_is_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(mode="sideways")
-    with pytest.raises(ValueError):
-        SearchConfig(budget=0)
+    for bad in (0, -3, 2.5, 1.0, True, "3", None):
+        with pytest.raises(ValueError):
+            SearchConfig(budget=bad)
     with pytest.raises(ValueError):
         SearchConfig(prune_tolerance=-1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidThreshold):
             SearchConfig(prune_tolerance=bad)
+
+
+def oracle_triples_stream(a, b, tol, budget, superpose=motion_from_triples):
+    """The pair-by-pair loop over both lexicographic triple lists.
+
+    Returns the motions and the (src, dst) triples passed to the
+    superposition, in order.
+    """
+    motions, superposed = [], []
+    d = math.dist
+    pa, pb = a.points, b.points
+    for ia in itertools.combinations(range(len(a)), 3):
+        da = [d(pa[ia[0]], pa[ia[1]]), d(pa[ia[0]], pa[ia[2]]), d(pa[ia[1]], pa[ia[2]])]
+        for ib in itertools.combinations(range(len(b)), 3):
+            if len(motions) >= budget:
+                return motions, superposed
+            db = [d(pb[ib[0]], pb[ib[1]]), d(pb[ib[0]], pb[ib[2]]), d(pb[ib[1]], pb[ib[2]])]
+            if any(abs(x - y) > tol for x, y in zip(da, db)):
+                continue
+            src = tuple(pb[k] for k in ib)
+            dst = tuple(pa[k] for k in ia)
+            superposed.append((src, dst))
+            try:
+                motions.append(superpose(src, dst, tolerance=tol))
+            except (DegenerateTriple, IncompatibleTriple):
+                continue
+    return motions, superposed
+
+
+def triples_stream(a, b, tol, budget, superpose=motion_from_triples):
+    """enumerate_candidate_motions in triples mode, with the same record."""
+    superposed = []
+
+    def recorded(src, dst, tolerance):
+        superposed.append((src, dst))
+        return superpose(src, dst, tolerance=tolerance)
+
+    config = SearchConfig(mode="triples", budget=budget, prune_tolerance=tol)
+    with mock.patch.object(rigid, "motion_from_triples", recorded):
+        motions = list(enumerate_candidate_motions(a, b, 1.0, config))
+    return motions, superposed
+
+
+def edge_lengths(chain):
+    return [math.dist(p, q) for p, q in itertools.combinations(chain.points, 2)]
+
+
+grid_coord = st.integers(-2, 2).map(float)
+real_coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def chains(coord):
+    # a Chain3D has at least one vertex
+    return st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=9).map(
+        lambda pts: chain_from_coords("c", pts)
+    )
+
+
+def assert_scan_equals_oracle(a, b, data):
+    # tolerances at the instance's own edge-length differences, where
+    # abs(x - y) > tol is decided at equality
+    diffs = [abs(x - y) for x in edge_lengths(a) for y in edge_lengths(b)]
+    tol = data.draw(st.sampled_from([0.0, 1e9, *diffs]))
+    budget = data.draw(st.one_of(st.integers(1, 40), st.just(10**9)))
+    # both sides superpose the same triples; compute each motion once
+    superpose = functools.lru_cache(maxsize=None)(motion_from_triples)
+    assert triples_stream(a, b, tol, budget, superpose) == oracle_triples_stream(
+        a, b, tol, budget, superpose
+    )
+
+
+@fixed_examples
+@given(chains(grid_coord), chains(grid_coord), st.data())
+def test_triples_scan_equals_oracle_on_grid_chains(a, b, data):
+    assert_scan_equals_oracle(a, b, data)
+
+
+@fixed_examples
+@given(chains(real_coord), chains(real_coord), st.data())
+def test_triples_scan_equals_oracle_on_continuous_chains(a, b, data):
+    assert_scan_equals_oracle(a, b, data)
+
+
+def test_triples_scan_equals_oracle_with_overflowing_edges():
+    # h is more than the largest float away from the origin, so math.dist
+    # gives inf and an a-edge minus a b-edge is inf - inf = nan, which is not
+    # "far".  (0, 0, 0), (c, c, c) and h are collinear: that survivor is
+    # superposed and rejected as degenerate (c * 1.5e308 is still finite).
+    # The finite (2, 3, sqrt(13)) triangles match.
+    h = (1.5e308, 1.5e308, 1.5e308)
+    c = 2.0 / math.sqrt(3.0)
+    a = chain_from_coords("a", [(0, 0, 0), (2, 0, 0), (0, 3, 0), h])
+    b = chain_from_coords("b", [(0, 0, 0), (c, c, c), h, (9, 0, 0), (11, 0, 0), (9, 3, 0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        motions, superposed = triples_stream(a, b, 0.5, 10**9)
+        assert (motions, superposed) == oracle_triples_stream(a, b, 0.5, 10**9)
+    assert ((b.points[0], b.points[1], b.points[2]), a.points[:2] + a.points[3:]) in superposed
+    assert motions
+
+
+def test_first_triples_candidate_needs_little_memory():
+    # the scan keeps per-chain edge tables, not lists of all triples
+    # (189.5 MB traced for two pools of C(200, 3) triples)
+    rng = random.Random(113)
+    a = rand_chain(rng, "a", 200)
+    b = rand_chain(rng, "b", 200)
+    tracemalloc.start()
+    try:
+        next(enumerate_candidate_motions(a, b, 0.5, SearchConfig(mode="triples")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
