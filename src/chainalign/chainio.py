@@ -105,10 +105,17 @@ def parse_chain_file(text: str) -> ChainDocument:
 
 
 def serialize_chain_document(doc: ChainDocument) -> str:
-    """Inverse of parse_chain_file; coordinates round-trip exactly."""
+    """Inverse of parse_chain_file; names and coordinates round-trip exactly.
+
+    Raises ValueError for a name the header line cannot carry: one holding
+    '#' or a line break, or with leading or trailing whitespace.
+    """
     lines: list[str] = []
     for chain in doc.chains:
-        lines.append(">" + chain.id)
+        name = chain.id
+        if "#" in name or name.strip() != name or len(f">{name}".splitlines()) != 1:
+            raise ValueError(f"chain name {name!r} cannot be written to a chain file")
+        lines.append(">" + name)
         for p in chain.points:
             lines.append(f"{p.x!r} {p.y!r} {p.z!r}")
     return "\n".join(lines) + "\n"

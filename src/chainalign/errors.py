@@ -112,11 +112,16 @@ class NoCaAtoms(InputError):
 def check_threshold(value: float, name: str = "delta") -> None:
     """Raise unless value is a finite number >= 0.
 
-    Negative values raise NegativeDelta; NaN and +inf raise InvalidThreshold.
+    Negative values raise NegativeDelta; NaN, +inf and ints too large for a
+    float raise InvalidThreshold.
     A NaN compares false both ways, so without this check a solver would
     return the empty alignment and a `> value` validation would pass.
     """
     if value < 0:
         raise NegativeDelta(f"{name} must be >= 0, got {value}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise InvalidThreshold(f"{name} must be finite, got an int beyond floats") from None
+    if not finite:
         raise InvalidThreshold(f"{name} must be finite, got {value}")

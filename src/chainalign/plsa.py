@@ -67,9 +67,9 @@ ORACLE_LIMIT = 18
 WALK_ORACLE_LIMIT = 16
 WALK_ORACLE_STATE_LIMIT = 30
 MAX_ARITY = 4
-# plsa_static_multi compares every pair of index tuples: 3 chains of 18
-# vertices (5832 tuples) take about 20 s when every tuple is compatible
-MULTI_STATE_LIMIT = 6000
+# plsa_static_multi fills 2^m - 1 tables over the index tuples: 4 chains at
+# the limit (18 x 18 x 18 x 17) take about 2 s and 19 MB when all compatible
+MULTI_STATE_LIMIT = 100_000
 # plsa_static_pair_fast holds about 16 bytes per cell at its peak, so
 # 5000 x 5000 cells take about 0.4 GB
 PAIR_CELL_LIMIT = 25_000_000
@@ -420,11 +420,13 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
 def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResult:
     """Optimal alignment of 2..4 chains under per-step star compatibility.
 
-    The state space is every index tuple; each state scans all componentwise
-    smaller states, so this is for desk-scale chains: more than
-    MULTI_STATE_LIMIT index tuples raise TooLarge before any work.  With two
-    chains the star condition degenerates to the pair condition and the
-    result matches plsa_static_pair exactly.
+    Visits index tuples s in lexicographic order.  Per non-empty set S of
+    advancing chains, B_S[s] keys the best valid p <= s on S, equal to s
+    elsewhere, as val * N + (N - 1 - flat): one max keeps the larger value,
+    then the smaller state.  Advancing exactly S, the best predecessor is
+    B_S[s - 1_S].  Work is O(2^m m N) for N index tuples; more than
+    MULTI_STATE_LIMIT raise TooLarge before any table exists.  With two
+    chains the result matches plsa_static_pair exactly.
     """
     m = len(chains)
     if m < 2:
@@ -439,43 +441,41 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
             f"the multi-chain limit of {MULTI_STATE_LIMIT}"
         )
     pts = [c.points for c in chains]
-
-    states = list(np.ndindex(shape))
-    ok = {
-        s: star_compatible([pts[c][s[c]] for c in range(m)], delta) for s in states
-    }
-    val: dict[tuple[int, ...], int] = {}
-    pred: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    best_val = 0
-    best_state: tuple[int, ...] | None = None
-
-    for s in states:
-        if not ok[s]:
+    # tables run over 1-based tuples; index 0 of every chain pads the border
+    dims = [n + 1 for n in shape]
+    size = math.prod(dims)
+    strides = [math.prod(dims[c + 1:]) for c in range(m)]
+    # per advance set S: |S|, B_S, and the flat offsets of s - 1_S and s - e_c
+    sets = [
+        (len(S), [-1] * size, sum(strides[c] for c in S), [strides[c] for c in S])
+        for k in range(1, m + 1) for S in itertools.combinations(range(m), k)
+    ]
+    pred = [-1] * size  # key of the step before s on its optimal walk
+    best = -1
+    for f, s in enumerate(itertools.product(*map(range, dims))):
+        if 0 in s:
             continue
-        v, adv_best, arg = m, 0, None
-        for p in states:
-            if p not in val or any(pc > sc for pc, sc in zip(p, s)):
-                continue
-            adv = sum(pc < sc for pc, sc in zip(p, s))
-            if adv == 0:
-                continue
-            cand = val[p] + adv
-            if cand > v or (cand == v and adv > adv_best):
-                v, adv_best, arg = cand, adv, p
-        val[s] = v
-        pred[s] = arg
-        if v > best_val:
-            best_val = v
-            best_state = s
+        key = -1
+        if star_compatible([p[i - 1] for p, i in zip(pts, s)], delta):
+            # largest value, then most chains advanced, then smallest state
+            val, _, pred[f] = max(
+                ((b // size + k, k, b) for k, box, back, _ in sets if (b := box[f - back]) >= 0),
+                default=(m, 0, -1),
+            )
+            key = val * size + size - 1 - f
+            best = max(best, key)
+        for _, box, _, units in sets:
+            box[f] = max(key, *[box[f - u] for u in units])
 
-    if best_state is None:
+    if best < 0:
         return _empty_result(m)
     steps: list[tuple[int, ...]] = []
-    cur: tuple[int, ...] | None = best_state
-    while cur is not None:
-        steps.append(tuple(c + 1 for c in cur))
-        cur = pred[cur]
-    return _finish(steps, best_val, chains, delta)
+    key = best
+    while key >= 0:
+        f = size - 1 - key % size
+        steps.append(tuple(f // st % d for st, d in zip(strides, dims)))
+        key = pred[f]
+    return _finish(steps, best // size, chains, delta)
 
 
 # ---------------------------------------------------------------------------

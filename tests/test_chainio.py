@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainalign.chainio import (
     ChainDocument,
@@ -33,6 +35,35 @@ def test_serialization_round_trips_every_float_bit():
     assert [c.id for c in back.chains] == [c.id for c in doc.chains]
     for ours, theirs in zip(doc.chains, back.chains):
         assert ours.points == theirs.points  # exact, not approximate
+
+
+# names the header line carries unchanged: no '#' or line break, and no
+# whitespace at either end
+chain_names = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="#\n\r\x0b\x0c"
+                  "\x1c\x1d\x1e\x85\u2028\u2029"),
+    max_size=8,
+).filter(lambda name: name.strip() == name)
+finite_coord = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1.79e308, -1.79e308]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.tuples(chain_names, st.lists(st.tuples(finite_coord, finite_coord, finite_coord),
+                                    min_size=1, max_size=4)),
+    min_size=1, max_size=3, unique_by=lambda chain: chain[0],
+))
+def test_chain_documents_round_trip(chains):
+    doc = ChainDocument(tuple(chain_from_coords(name, pts) for name, pts in chains))
+    back = parse_chain_file(serialize_chain_document(doc))
+    assert back == doc
+    # == holds for -0.0 against 0.0, so compare the written digits too
+    assert [list(map(repr, c.points)) for c in back.chains] == [
+        list(map(repr, c.points)) for c in doc.chains
+    ]
 
 
 def test_headerless_file_is_one_anonymous_chain():
@@ -89,6 +120,12 @@ def test_document_rejects_duplicate_or_missing_chains():
         ChainDocument((a, a))
     with pytest.raises(ValueError):
         ChainDocument(())
+    # names the header line would rename or break are refused when written
+    for name in ("a#b", " pad ", "pad ", "x\ny", "x\ry", "x\r\n"):
+        doc = ChainDocument((chain_from_coords(name, [(0, 0, 0)]),))
+        with pytest.raises(ValueError) as exc:
+            serialize_chain_document(doc)
+        assert repr(name) in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

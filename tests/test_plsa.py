@@ -258,17 +258,26 @@ def test_guards():
     assert 18 ** 3 <= MULTI_STATE_LIMIT  # three chains of 18 still run
     for shape in ((30, 30, 30, 30), (MULTI_STATE_LIMIT + 1, 1)):
         chains = [chain_from_coords("c", [(float(i), 0, 0) for i in range(n)]) for n in shape]
-        with pytest.raises(TooLarge):
-            plsa_static_multi(chains, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                plsa_static_multi(chains, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # raised before any table exists
     with pytest.raises(NegativeDelta):
         plsa_static_pair(a, a, -1.0)
     with pytest.raises(NegativeDelta):
         plsa_static_pair_fast(a, a, -0.1)
     with pytest.raises(NegativeDelta):
         plsa_oracle((a, a), -2.0)
-    for bad in (math.nan, math.inf):
+    # 10**5000 has more digits than str() of an int may print
+    for bad in (math.nan, math.inf, 10**400, 10**5000):
         with pytest.raises(InvalidThreshold):
             plsa_static_pair_fast(a, a, bad)
+        with pytest.raises(InvalidThreshold):
+            plsa_static_multi((a, a, a), bad)
         with pytest.raises(InvalidThreshold):
             validate_alignment_result(plsa_static_pair_fast(a, a, 1.0), (a, a), bad)
     big = chain_from_coords("big", [(float(i), 0, 0) for i in range(10)])

@@ -1,18 +1,29 @@
-"""Property tests: the prefix-maximum fast path equals the reference DP.
+"""Property tests: the fast dynamic programs equal their reference scans.
 
 plsa_static_pair_fast must return the value, walk, subsequences and common
-chain of plsa_static_pair exactly.  Thresholds are drawn from the chains'
-own vertex distances, where numpy's distance matrix and math.dist can round
-to different sides of delta.
+chain of plsa_static_pair exactly, and plsa_static_multi those of the scan
+of every componentwise smaller index tuple.  Thresholds are drawn from the
+chains' own vertex distances, where numpy's distance matrix and math.dist
+can round to different sides of delta, and where ties between walks are
+most common.
 """
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainalign.geometry import chain_from_coords
-from chainalign.plsa import plsa_static_pair, plsa_static_pair_fast
+from chainalign.plsa import (
+    _empty_result,
+    _finish,
+    plsa_static_multi,
+    plsa_static_pair,
+    plsa_static_pair_fast,
+    star_compatible,
+)
 
 # fixed examples, so a run is reproducible and leaves no example database
 fixed_examples = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -55,3 +66,92 @@ def test_fast_equals_reference_on_grid_chains(a, b, data):
 @given(chains(real_coord, max_size=1), chains(real_coord, max_size=1), st.data())
 def test_fast_equals_reference_on_one_vertex_chains(a, b, data):
     assert_fast_equals_reference(a, b, data)
+
+
+def oracle_static_multi(chains, delta):
+    """Every valid index tuple scans every componentwise smaller one.
+
+    Quadratic in the number of index tuples; ties go to the larger value,
+    then the predecessor advancing more chains, then the first in
+    lexicographic order.
+    """
+    m = len(chains)
+    shape = tuple(len(c) for c in chains)
+    pts = [c.points for c in chains]
+
+    states = list(np.ndindex(shape))
+    ok = {
+        s: star_compatible([pts[c][s[c]] for c in range(m)], delta) for s in states
+    }
+    val: dict[tuple[int, ...], int] = {}
+    pred: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    best_val = 0
+    best_state: tuple[int, ...] | None = None
+
+    for s in states:
+        if not ok[s]:
+            continue
+        v, adv_best, arg = m, 0, None
+        for p in states:
+            if p not in val or any(pc > sc for pc, sc in zip(p, s)):
+                continue
+            adv = sum(pc < sc for pc, sc in zip(p, s))
+            if adv == 0:
+                continue
+            cand = val[p] + adv
+            if cand > v or (cand == v and adv > adv_best):
+                v, adv_best, arg = cand, adv, p
+        val[s] = v
+        pred[s] = arg
+        if v > best_val:
+            best_val = v
+            best_state = s
+
+    if best_state is None:
+        return _empty_result(m)
+    steps: list[tuple[int, ...]] = []
+    cur: tuple[int, ...] | None = best_state
+    while cur is not None:
+        steps.append(tuple(c + 1 for c in cur))
+        cur = pred[cur]
+    return _finish(steps, best_val, chains, delta)
+
+
+def assert_multi_equals_oracle(chain_list, data):
+    c1, c2 = data.draw(st.permutations(range(len(chain_list))))[:2]
+    a, b = chain_list[c1], chain_list[c2]
+    i = data.draw(st.integers(0, len(a) - 1))
+    j = data.draw(st.integers(0, len(b) - 1))
+    delta = math.dist(a.points[i], b.points[j])
+    for d in (delta, math.nextafter(delta, 0.0)):
+        assert plsa_static_multi(chain_list, d) == oracle_static_multi(chain_list, d), d
+
+
+coords = pytest.mark.parametrize("coord", [grid_coord, real_coord], ids=["grid", "continuous"])
+
+
+@coords
+@settings(fixed_examples, max_examples=200)
+@given(data=st.data())
+def test_multi_equals_oracle_on_two_or_three_chains(coord, data):
+    chain_list = data.draw(st.lists(chains(coord, max_size=6), min_size=2, max_size=3))
+    assert_multi_equals_oracle(chain_list, data)
+
+
+@coords
+@settings(fixed_examples, max_examples=120)
+@given(data=st.data())
+def test_multi_equals_oracle_on_four_chains(coord, data):
+    chain_list = data.draw(st.lists(chains(coord, max_size=4), min_size=4, max_size=4))
+    assert_multi_equals_oracle(chain_list, data)
+
+
+def test_multi_tie_between_advance_sets_keeps_the_smaller_state():
+    # (1, 2, 1) and (2, 1, 2) both precede (3, 2, 2) with value 3, one
+    # advancing chains {0, 2} and the other {0, 1}; the walk starts at the
+    # lexicographically smaller one.  Random draws rarely tie this way.
+    xs = ([1.0, -1.0, 0.0], [-1.0, 1.0], [1.0, -1.0])
+    chain_list = [chain_from_coords(f"c{c}", [(x, 0.0, 0.0) for x in xs[c]]) for c in range(3)]
+    result = plsa_static_multi(chain_list, 1.5)
+    assert result.walk.steps == ((1, 2, 1), (3, 2, 2))
+    assert result == oracle_static_multi(chain_list, 1.5)

@@ -136,9 +136,10 @@ def test_config_validation():
             SearchConfig(budget=bad)
     with pytest.raises(ValueError):
         SearchConfig(prune_tolerance=-1.0)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(InvalidThreshold):
             SearchConfig(prune_tolerance=bad)
+    assert SearchConfig(prune_tolerance=10**300).prune_tolerance == 10**300
 
 
 def oracle_triples_stream(a, b, tol, budget, superpose=motion_from_triples):
