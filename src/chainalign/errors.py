@@ -113,15 +113,19 @@ def check_threshold(value: float, name: str = "delta") -> None:
     """Raise unless value is a finite number >= 0.
 
     Negative values raise NegativeDelta; NaN, +inf and ints too large for a
-    float raise InvalidThreshold.
+    float raise InvalidThreshold.  An int beyond floats is named, not
+    printed: its digits may exceed what str() of an int may write.
     A NaN compares false both ways, so without this check a solver would
     return the empty alignment and a `> value` validation would pass.
     """
-    if value < 0:
-        raise NegativeDelta(f"{name} must be >= 0, got {value}")
     try:
         finite = math.isfinite(value)
     except OverflowError:
-        raise InvalidThreshold(f"{name} must be finite, got an int beyond floats") from None
+        finite = None
+    if value < 0:
+        shown = "an int beyond floats" if finite is None else value
+        raise NegativeDelta(f"{name} must be >= 0, got {shown}")
+    if finite is None:
+        raise InvalidThreshold(f"{name} must be finite, got an int beyond floats")
     if not finite:
         raise InvalidThreshold(f"{name} must be finite, got {value}")

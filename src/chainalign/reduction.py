@@ -406,37 +406,46 @@ def greedy_label_match(
     return tuple(pos)
 
 
+def _close_masks(targets, points, delta: float) -> list[int]:
+    """Per target point, the bit mask of the positions j with
+    math.dist(target, points[j]) <= delta."""
+    d = math.dist
+    return [
+        sum(1 << j for j, p in enumerate(points) if d(t, p) <= delta) for t in targets
+    ]
+
+
+def _sweep(masks, wanted) -> bool:
+    """Can every wanted index, in order, take a position of its mask?
+
+    Each index takes the lowest position of its mask at or after the
+    position of the index before it.  Over close masks this is the
+    subsequence decision: row i of its dynamic program is the close mask of
+    common vertex i cut below the lowest feasible position of row i-1.  Over
+    label masks it is the greedy label scan, since distinct indices never
+    share a position.
+    """
+    low = 1
+    for i in wanted:
+        low = masks[i] & -low
+        low &= -low
+    return low != 0
+
+
 def subsequence_match_decision(common: Chain3D, chain: Chain3D, delta: float) -> bool:
     """Does some subsequence of chain lie within discrete Frechet distance
     delta of common?
 
-    Dynamic program over (common prefix, chain position): a state (i, j) is
-    feasible when a coupling covers common[..i] with a selected subsequence
-    ending at chain[j].  Predecessors are the same j (common advanced), any
-    earlier j with i-1 (both advanced, skipped chain vertices dropped), or
-    any earlier j with the same i (subsequence advanced).  Runs in
-    O(|common| * |chain|) via prefix ors.
+    A state (i, j) is feasible when a coupling covers common[..i] with a
+    selected subsequence ending at chain[j].  Predecessors are the same j
+    (common advanced), any earlier j with i-1 (both advanced, skipped chain
+    vertices dropped), or any earlier j with the same i (subsequence
+    advanced).  So row i holds every close j at or after the lowest
+    feasible j of row i-1, and the rows are swept as bit masks after
+    O(|common| * |chain|) distances.
     """
     check_threshold(delta)
-    cp, pp = common.points, chain.points
-    d = math.dist
-    m = len(pp)
-    f_prev = [False] * m
-    for i, cpt in enumerate(cp):
-        prev_prefix = [False] * (m + 1)  # or of f_prev[..j-1]
-        for j in range(m):
-            prev_prefix[j + 1] = prev_prefix[j] or f_prev[j]
-        f_cur = [False] * m
-        cur_prefix = False  # or of f_cur[..j-1]
-        for j in range(m):
-            if d(cpt, pp[j]) <= delta:
-                if i == 0:
-                    f_cur[j] = True
-                else:
-                    f_cur[j] = f_prev[j] or prev_prefix[j] or cur_prefix
-            cur_prefix = cur_prefix or f_cur[j]
-        f_prev = f_cur
-    return any(f_prev)
+    return _sweep(_close_masks(common.points, chain.points, delta), range(len(common)))
 
 
 @dataclass(frozen=True)
@@ -459,28 +468,41 @@ def solve_reduction_bruteforce(inst: ReductionInstance) -> ReductionSolution:
 
     Every (subset, chain) query is decided twice: by the greedy label scan
     and by the distance-threshold subsequence decision.  The two must agree
-    or an InvariantError is raised.  Guarded to MIS_LIMIT vertices.
+    or an InvariantError is raised.  Each index's distance to each chain
+    vertex is computed once; a query then costs O(k) bit operations per
+    decision.  Guarded to MIS_LIMIT vertices.
     """
     n = inst.graph.n_vertices
     if n > MIS_LIMIT:
         raise TooLarge(f"{n} vertices exceed the exact-solver limit of {MIS_LIMIT}")
+    if n and inst.chains:  # the threshold is only read when a query exists
+        check_threshold(inst.delta)
+    targets = [prime_point(i) for i in range(1, n + 1)]
+    masks = [
+        (
+            _close_masks(targets, chain.points, inst.delta),
+            [sum(1 << j for j, lbl in enumerate(labels) if lbl[0] == i) for i in range(1, n + 1)],
+            chain.id,
+        )
+        for chain, labels in zip(inst.chains, inst.label_map)
+    ]
     for k in range(n, 0, -1):
-        for subset in itertools.combinations(range(1, n + 1), k):
-            common = Chain3D("C", tuple(prime_point(i) for i in subset))
-            matches: list[tuple[int, ...]] = []
-            ok = True
-            for chain, labels in zip(inst.chains, inst.label_map):
-                greedy = greedy_label_match(subset, labels)
-                by_distance = subsequence_match_decision(common, chain, inst.delta)
-                if (greedy is not None) != by_distance:
+        for subset in itertools.combinations(range(n), k):
+            for close, at, chain_id in masks:
+                found = _sweep(at, subset)
+                if found != _sweep(close, subset):
                     raise InvariantError(
                         f"label scan and distance decision disagree on subset "
-                        f"{subset} against chain {chain.id}"
+                        f"{tuple(i + 1 for i in subset)} against chain {chain_id}"
                     )
-                if greedy is None:
-                    ok = False
+                if not found:
                     break
-                matches.append(greedy)
-            if ok:
-                return ReductionSolution(k, subset, common, tuple(matches))
+            else:
+                vertices = tuple(i + 1 for i in subset)
+                return ReductionSolution(
+                    k,
+                    vertices,
+                    Chain3D("C", tuple(targets[i] for i in subset)),
+                    tuple(greedy_label_match(vertices, labels) for labels in inst.label_map),
+                )
     raise InvariantError("no subset matched every chain, not even a single index")

@@ -280,6 +280,13 @@ def test_guards():
             plsa_static_multi((a, a, a), bad)
         with pytest.raises(InvalidThreshold):
             validate_alignment_result(plsa_static_pair_fast(a, a, 1.0), (a, a), bad)
+    for bad in (-10**400, -10**5000):
+        with pytest.raises(NegativeDelta):
+            plsa_static_pair_fast(a, a, bad)
+        with pytest.raises(NegativeDelta):
+            plsa_static_multi((a, a, a), bad)
+        with pytest.raises(NegativeDelta):
+            validate_alignment_result(plsa_static_pair_fast(a, a, 1.0), (a, a), bad)
     big = chain_from_coords("big", [(float(i), 0, 0) for i in range(10)])
     with pytest.raises(TooLarge):
         plsa_oracle((big, big), 1.0)

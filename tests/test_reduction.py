@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainalign.errors import (
     BadDelta,
@@ -20,6 +22,7 @@ from chainalign.reduction import (
     PRIME,
     Graph,
     ReductionInstance,
+    ReductionSolution,
     build_reduction,
     double_prime_point,
     greedy_label_match,
@@ -256,6 +259,34 @@ def subsequence_oracle(common, chain, delta):
     return False
 
 
+def list_dp_decision(common, chain, delta):
+    """The subsequence decision as a list dynamic program, one math.dist
+    per (common vertex, chain vertex) pair.
+
+    f[j] holds when a coupling covers common[..i] with a subsequence ending
+    at chain[j]; predecessors are the same j, any earlier j of the previous
+    row, or any earlier j of the same row.
+    """
+    cp, pp = common.points, chain.points
+    m = len(pp)
+    f_prev = [False] * m
+    for i, cpt in enumerate(cp):
+        prev_prefix = [False] * (m + 1)  # or of f_prev[..j-1]
+        for j in range(m):
+            prev_prefix[j + 1] = prev_prefix[j] or f_prev[j]
+        f_cur = [False] * m
+        cur_prefix = False  # or of f_cur[..j-1]
+        for j in range(m):
+            if math.dist(cpt, pp[j]) <= delta:
+                if i == 0:
+                    f_cur[j] = True
+                else:
+                    f_cur[j] = f_prev[j] or prev_prefix[j] or cur_prefix
+            cur_prefix = cur_prefix or f_cur[j]
+        f_prev = f_cur
+    return any(f_prev)
+
+
 def test_subsequence_decision_matches_enumeration():
     rng = random.Random(77)
     hits = misses = 0
@@ -280,6 +311,7 @@ def test_subsequence_decision_matches_enumeration():
         delta = rng.choice([0.15, 0.4, 0.9])
         got = subsequence_match_decision(common, chain, delta)
         assert got == subsequence_oracle(common, chain, delta)
+        assert got == list_dp_decision(common, chain, delta)
         hits += got
         misses += not got
     assert hits >= 10 and misses >= 10
@@ -291,6 +323,113 @@ def test_subsequence_decision_matches_enumeration():
 # ---------------------------------------------------------------------------
 # end-to-end solver
 # ---------------------------------------------------------------------------
+
+def oracle_solve(inst):
+    """The per-query loop: every (subset, chain) query runs the greedy label
+    scan and the list dynamic program, in enumeration order."""
+    n = inst.graph.n_vertices
+    for k in range(n, 0, -1):
+        for subset in itertools.combinations(range(1, n + 1), k):
+            common = Chain3D("C", tuple(prime_point(i) for i in subset))
+            matches = []
+            for chain, labels in zip(inst.chains, inst.label_map):
+                greedy = greedy_label_match(subset, labels)
+                if (greedy is not None) != list_dp_decision(common, chain, inst.delta):
+                    raise InvariantError(
+                        f"label scan and distance decision disagree on subset "
+                        f"{subset} against chain {chain.id}"
+                    )
+                if greedy is None:
+                    break
+                matches.append(greedy)
+            else:
+                return ReductionSolution(k, subset, common, tuple(matches))
+    raise InvariantError("no subset matched every chain, not even a single index")
+
+
+def solve_outcome(solve, inst):
+    try:
+        sol = solve(inst)
+    except InvariantError as exc:
+        return "raised", str(exc)
+    return sol.k, sol.vertices, sol.common_chain, sol.matches
+
+
+def move_vertex(inst, which, pos, z):
+    chain = inst.chains[which]
+    pts = list(chain.points)
+    pts[pos] = Point3(pts[pos].x, pts[pos].y, z)
+    return _replace_chain(inst, which, Chain3D(chain.id, tuple(pts)))
+
+
+@st.composite
+def reduction_instances(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    delta = draw(st.one_of(
+        st.sampled_from([0.05, 0.0999, 1e-9]),
+        st.floats(0.0, 0.1, exclude_min=True, exclude_max=True),
+    ))
+    inst = build_reduction(Graph(n, tuple(edges)), delta)
+    if draw(st.integers(0, 9)) == 0:
+        # a threshold beyond the cross-index distance sqrt(10): one chain
+        # vertex is then close to several indices
+        inst = ReductionInstance(inst.graph, draw(st.sampled_from([3.5, 10.0, 1e3])),
+                                 inst.chains, inst.label_map)
+    moved = draw(st.none() | st.tuples(
+        st.integers(0, len(inst.chains) - 1),
+        st.integers(0, 2 * n),
+        st.sampled_from([5.0, delta / 2, 1.5 * delta]),
+    ))
+    if moved is not None:
+        which, pos, z = moved
+        inst = move_vertex(inst, which, pos % len(inst.chains[which]), z)
+    return inst
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(reduction_instances())
+def test_solver_equals_the_per_query_oracle(inst):
+    assert solve_outcome(solve_reduction_bruteforce, inst) == solve_outcome(oracle_solve, inst)
+
+
+def test_solver_names_the_first_disagreement():
+    inst = move_vertex(build_reduction(five_vertex_graph()), 3, 4, 5.0)
+    expected = (
+        "raised",
+        "label scan and distance decision disagree on subset (1, 3, 4, 5) against chain P3",
+    )
+    assert solve_outcome(oracle_solve, inst) == expected
+    assert solve_outcome(solve_reduction_bruteforce, inst) == expected
+
+
+def test_solver_rejects_a_bad_threshold():
+    inst = build_reduction(five_vertex_graph())
+    cases = ((-0.01, NegativeDelta), (math.nan, InvalidThreshold), (math.inf, InvalidThreshold))
+    for bad, error in cases:
+        bad_inst = ReductionInstance(inst.graph, bad, inst.chains, inst.label_map)
+        with pytest.raises(error):
+            solve_reduction_bruteforce(bad_inst)
+
+
+def test_solver_computes_each_distance_once(monkeypatch):
+    rng = random.Random(12)
+    pairs = list(itertools.combinations(range(1, 13), 2))
+    inst = build_reduction(Graph(12, tuple(rng.sample(pairs, 20))))
+    calls = 0
+    real_dist = math.dist
+
+    def counting_dist(p, q):
+        nonlocal calls
+        calls += 1
+        return real_dist(p, q)
+
+    monkeypatch.setattr(math, "dist", counting_dist)
+    sol = solve_reduction_bruteforce(inst)
+    assert sol.k == max_independent_set_bruteforce(inst.graph)[0]
+    assert 0 < calls <= 12 * sum(len(c) for c in inst.chains)
+
 
 def test_solver_on_the_five_vertex_instance():
     inst = build_reduction(five_vertex_graph())

@@ -1,6 +1,10 @@
+import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainalign.errors import InputError
 from chainalign.geometry import RigidMotion, chain_from_coords
@@ -25,30 +29,87 @@ def sample_report(**extra):
     )
 
 
-def test_json_round_trip_is_exact():
-    chains = (
-        chain_from_coords("a", [(0.1, 1.0 / 3.0, -2.0), (4.0, 5.0, 6.0)]),
-        chain_from_coords("b", [(7e-17, 8.0, 9.0)]),
+finite = st.floats(allow_nan=False, allow_infinity=False)
+names = st.text(max_size=8) | st.text(" \t\n#\"\\<&ab", max_size=6)
+index_lists = st.lists(st.integers(1, 10**6), max_size=4).map(tuple)
+
+
+@st.composite
+def rotations(draw):
+    # a unit quaternion's rotation matrix, orthonormal to rounding
+    q = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(c * c for c in q) > 0.01))
+    norm = math.sqrt(sum(c * c for c in q))
+    w, x, y, z = (c / norm for c in q)
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
-    report = sample_report(
-        subsequences=((1, 2), (1,)),
-        walk=((1, 1), (2, 1)),
-        motion=RigidMotion.identity(),
-        seed=42,
+
+
+@st.composite
+def run_reports(draw):
+    arity = draw(st.integers(1, 4))
+    chains = draw(st.none() | st.lists(
+        st.builds(chain_from_coords, names,
+                  st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=4)),
+        min_size=arity, max_size=arity,
+    ).map(tuple))
+    return RunReport(
+        command=draw(st.sampled_from(["align", "plsa", "plsa-rigid", "dfd"])),
+        inputs=tuple(draw(st.lists(st.fixed_dictionaries(
+            {"path": st.text(max_size=12), "sha256": st.text("0123456789abcdef", max_size=64)}
+        ), max_size=3))),
+        delta=draw(st.none() | finite),
+        value=draw(st.integers(0, 10**6) | finite),
+        elapsed_ms=draw(st.floats(0.0, 1e9)),
+        subsequences=draw(
+            st.none() | st.lists(index_lists, min_size=arity, max_size=arity).map(tuple)
+        ),
+        walk=draw(st.none() | st.lists(
+            st.tuples(*[st.integers(1, 10**6)] * arity), max_size=5).map(tuple)),
+        witness=draw(st.none() | st.tuples(st.integers(1, 10**6), st.integers(1, 10**6))),
+        motion=draw(
+            st.none() | st.builds(RigidMotion, rotations(), st.tuples(finite, finite, finite))
+        ),
+        seed=draw(st.none() | st.integers(0, 2**63)),
         chains=chains,
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(run_reports())
+@example(sample_report(
+    subsequences=((1, 2), (1,)),
+    walk=((1, 1), (2, 1)),
+    motion=RigidMotion.identity(),
+    seed=42,
+    chains=(
+        chain_from_coords("a", [(0.1, 1.0 / 3.0, -2.0), (4.0, 5.0, 6.0)]),
+        chain_from_coords("b", [(7e-17, 8.0, 9.0)]),
+    ),
+))
+def test_json_round_trip_is_exact(report):
     data = parse_report(emit_report(report, "json"))
-    assert data["command"] == "align"
-    assert data["delta"] == 0.1 + 0.2  # exact float, not 0.3
-    assert data["value"] == 9
-    assert data["subsequences"] == [[1, 2], [1]]
-    assert data["walk"] == [[1, 1], [2, 1]]
-    assert data["motion"]["rotation"] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    assert data["seed"] == 42
-    assert data["chains"][0]["vertices"][0] == [0.1, 1.0 / 3.0, -2.0]
-    rebuilt = report_chains(data)
-    assert tuple(c.points for c in rebuilt) == tuple(c.points for c in chains)
-    assert report_walk(data, 2) == ((1, 1), (2, 1))
+    # the keys in emitted order, and every number with its exact repr and type
+    assert json.dumps(data) == json.dumps(report.to_dict())
+    fields = ("command", "delta", "value", "elapsed_ms", "seed")
+    assert repr([data.get(f) for f in fields]) == repr([getattr(report, f) for f in fields])
+    if report.subsequences is not None:
+        assert tuple(map(tuple, data["subsequences"])) == report.subsequences
+    if report.witness is not None:
+        assert tuple(data["witness"]) == report.witness
+    if report.chains is not None:
+        rebuilt = report_chains(data)
+        assert tuple(c.id for c in rebuilt) == tuple(c.id for c in report.chains)
+        assert tuple(c.points for c in rebuilt) == tuple(c.points for c in report.chains)
+    if report.walk is not None:
+        assert report_walk(data, len(report.walk[0]) if report.walk else 1) == report.walk
+    if report.motion is not None:
+        assert RigidMotion(
+            tuple(map(tuple, data["motion"]["rotation"])), tuple(data["motion"]["translation"])
+        ) == report.motion
 
 
 def test_optional_fields_are_omitted():

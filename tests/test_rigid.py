@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainalign import rigid
-from chainalign.errors import DegenerateTriple, IncompatibleTriple, InvalidThreshold
+from chainalign.errors import (
+    DegenerateTriple,
+    IncompatibleTriple,
+    InvalidThreshold,
+    NegativeDelta,
+)
 from chainalign.geometry import (
     RigidMotion, apply_motion, chain_from_coords, dist, motion_from_triples,
 )
@@ -138,6 +143,9 @@ def test_config_validation():
         SearchConfig(prune_tolerance=-1.0)
     for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(InvalidThreshold):
+            SearchConfig(prune_tolerance=bad)
+    for bad in (-10**400, -10**5000):
+        with pytest.raises(NegativeDelta):
             SearchConfig(prune_tolerance=bad)
     assert SearchConfig(prune_tolerance=10**300).prune_tolerance == 10**300
 
