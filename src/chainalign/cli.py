@@ -12,8 +12,10 @@ plsa aligns two chains with the quadratic prefix-maximum DP, whose values,
 walks and tie-breaks equal the quartic reference's, and which refuses more
 than plsa.PAIR_CELL_LIMIT cells (exit 3, also for plsa-rigid); --fast is
 accepted and has no effect.  Three or four chains run the multi-chain DP,
-O(2^m m N) for m chains of N index tuples, which refuses more than
-plsa.MULTI_STATE_LIMIT index tuples (exit 3).
+one table and O((2^m + m) N) work for m chains of N index tuples, which
+refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).  dfd
+refuses more than PAIR_CELL_LIMIT cells, and plsa-rigid --mode triples a
+chain whose edge table would (over 5000 vertices), both with exit 3.
 """
 
 from __future__ import annotations

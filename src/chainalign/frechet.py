@@ -25,10 +25,15 @@ __all__ = [
     "brute_force_frechet",
     "brute_force_frechet_segments",
     "validate_paired_walk",
+    "PAIR_CELL_LIMIT",
 ]
 
 BRUTE_FORCE_LIMIT = 16
 SEGMENT_LIMIT = 10
+# the most cells a table indexed by two chains' vertices may hold; the
+# distance table here and plsa's fast pair DP each peak at about 16 bytes
+# per cell, so 5000 x 5000 cells take about 0.4 GB
+PAIR_CELL_LIMIT = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,13 @@ def discrete_frechet(a: Chain3D, b: Chain3D) -> FrechetResult:
 
     dp[i][j] is the best achievable worst pair over couplings of the
     prefixes ending at (i, j).  Walk reconstruction prefers, on ties,
-    advancing both chains, then chain A, then chain B.
+    advancing both chains, then chain A, then chain B.  More than
+    PAIR_CELL_LIMIT cells raise TooLarge before the table exists.
     """
     pa, pb = a.points, b.points
     n, m = len(pa), len(pb)
+    if n * m > PAIR_CELL_LIMIT:
+        raise TooLarge(f"{n * m} cells ({n} x {m}) exceed the pair limit of {PAIR_CELL_LIMIT}")
     d = math.dist
     inf = math.inf
 

@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedArity,
     check_threshold,
 )
-from .frechet import discrete_frechet, frechet_decision
+from .frechet import PAIR_CELL_LIMIT, discrete_frechet, frechet_decision
 from .geometry import Chain3D
 
 __all__ = [
@@ -67,12 +67,11 @@ ORACLE_LIMIT = 18
 WALK_ORACLE_LIMIT = 16
 WALK_ORACLE_STATE_LIMIT = 30
 MAX_ARITY = 4
-# plsa_static_multi fills 2^m - 1 tables over the index tuples: 4 chains at
-# the limit (18 x 18 x 18 x 17) take about 2 s and 19 MB when all compatible
+# plsa_static_multi fills one table over the index tuples: 4 chains at the
+# limit (18 x 18 x 18 x 17) take about 1 s and 5 MB when all compatible
 MULTI_STATE_LIMIT = 100_000
-# plsa_static_pair_fast holds about 16 bytes per cell at its peak, so
-# 5000 x 5000 cells take about 0.4 GB
-PAIR_CELL_LIMIT = 25_000_000
+# common-chain check slack of validate_alignment_result
+VALIDATE_TOL = 1e-9
 # numpy's sqrt of the summed squares and math.dist both take the norm of the
 # same rounded coordinate differences, each within 3 ulps of the exact norm
 # unless a square underflows; DIST_REL_SLACK covers both with room to spare,
@@ -202,15 +201,14 @@ def validate_alignment_result(
     result: AlignmentResult,
     chains: Sequence[Chain3D],
     delta: float,
-    tol: float = 1e-9,
 ) -> None:
     """Check every documented invariant of an AlignmentResult.
 
     Raises InvariantError on the first violation.  The common-chain check
-    decides d_F(common, subsequence polyline) <= delta + tol with the
-    frechet module's reachability sweep, i.e. independently of how the
+    decides d_F(common, subsequence polyline) <= delta + VALIDATE_TOL with
+    the frechet module's reachability sweep, i.e. independently of how the
     result was produced; only when it fails is the full distance computed,
-    to report it.
+    to report it, and only when its table is within PAIR_CELL_LIMIT.
     """
     check_threshold(delta)
     m = len(chains)
@@ -234,10 +232,13 @@ def validate_alignment_result(
         raise InvariantError("non-empty alignment must carry a common chain")
     for c, sub in enumerate(result.subsequences):
         poly = Chain3D("sub", tuple(chains[c].points[i - 1] for i in sub))
-        if not frechet_decision(result.common_chain, poly, delta + tol):
-            got = discrete_frechet(result.common_chain, poly).value
+        if not frechet_decision(result.common_chain, poly, delta + VALIDATE_TOL):
+            got = "too far"
+            if len(result.common_chain) * len(poly) <= PAIR_CELL_LIMIT:
+                got = discrete_frechet(result.common_chain, poly).value
             raise InvariantError(
-                f"common chain is {got} from chain {c} subsequence, beyond {delta} + {tol}"
+                f"common chain is {got} from chain {c} subsequence, "
+                f"beyond {delta} + {VALIDATE_TOL}"
             )
 
 
@@ -348,11 +349,15 @@ def _within_delta(a: Chain3D, b: Chain3D, delta: float) -> np.ndarray:
 def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
     """Same contract and tie-breaking as plsa_static_pair in O(|A| |B|).
 
-    The three predecessor scans collapse into running maxima: a rectangle
-    prefix maximum for both-advances, and for A- and B-advances the
-    previous valid cell of the current column or row (values increase
-    strictly along the valid cells of a row or column, so that cell is the
-    unique maximum).  Values agree with the reference exactly.  More than
+    The three predecessor scans collapse into running maxima.  box_val[t]
+    is the best value over the rows above and the columns left of t, with
+    its first cell in box_arg[t]; both-advances read it at j, A-advances at
+    j + 1.  Where the box over columns <= j beats column j alone, its
+    maximum is the both-advances rectangle's, whose candidate is one
+    larger, so the A-advance neither wins nor ties there.  B-advances take
+    the previous valid cell of the row (values increase strictly along the
+    valid cells of a row or column, so that cell is the unique maximum).
+    Values, walks and ties agree with the reference exactly.  More than
     PAIR_CELL_LIMIT cells raise TooLarge before any allocation.
     """
     check_threshold(delta)
@@ -366,10 +371,10 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
     # cell's optimal walk; -1 where that walk starts
     pred = np.full((n1, n2), -1, dtype=np.int64)
 
-    col_val = np.full(n2, NEG)  # last valid cell above row i in column j
-    col_arg = np.full(n2, -1, dtype=np.int64)
-    rect_val = np.full(n2, NEG)  # max over rows < i, cols < j
-    rect_arg = np.full(n2, -1, dtype=np.int64)
+    box_val = np.full(n2 + 1, NEG)  # box_val[t]: max over rows < i, cols < t
+    box_arg = np.full(n2 + 1, -1, dtype=np.int64)  # and its first cell
+    # views of box_*[j + 1], so reading them costs no index arithmetic
+    incl_val, incl_arg = box_val[1:], box_arg[1:]
     row = np.empty(n2)
     cols = np.arange(n2)
 
@@ -380,28 +385,26 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
         vc = np.flatnonzero(valid[i])
         if not vc.size:
             continue
-        both = rect_val[vc] + 2.0
-        up = col_val[vc] + 1.0
+        both = box_val[vc] + 2.0
+        up = incl_val[vc] + 1.0
         base = np.maximum(2.0, np.maximum(both, up))
         pos = cols[: vc.size]
         x = pos + np.maximum.accumulate(base - pos)
         flat = i * n2 + vc
         pred[i, vc] = np.where(
             x > base, np.concatenate(([-1], flat[:-1])),
-            np.where(both == x, rect_arg[vc], np.where(up == x, col_arg[vc], -1)),
+            np.where(both == x, box_arg[vc], np.where(up == x, incl_arg[vc], -1)),
         )
         if x[-1] > best_val:
             best_val, best = int(x[-1]), int(flat[-1])
 
-        col_val[vc] = x
-        col_arg[vc] = flat
         row.fill(NEG)
         row[vc] = x
-        prefix = np.maximum.accumulate(row)[:-1]
-        last = np.maximum.accumulate(np.where(valid[i], cols, -1))[:-1]
-        better = prefix > rect_val[1:]
-        rect_val[1:][better] = prefix[better]
-        rect_arg[1:][better] = i * n2 + last[better]
+        prefix = np.maximum.accumulate(row)
+        last = np.maximum.accumulate(np.where(valid[i], cols, -1))
+        better = prefix > incl_val
+        incl_val[better] = prefix[better]
+        incl_arg[better] = i * n2 + last[better]
 
     if best < 0:
         return _empty_result(2)
@@ -420,13 +423,17 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
 def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResult:
     """Optimal alignment of 2..4 chains under per-step star compatibility.
 
-    Visits index tuples s in lexicographic order.  Per non-empty set S of
-    advancing chains, B_S[s] keys the best valid p <= s on S, equal to s
-    elsewhere, as val * N + (N - 1 - flat): one max keeps the larger value,
-    then the smaller state.  Advancing exactly S, the best predecessor is
-    B_S[s - 1_S].  Work is O(2^m m N) for N index tuples; more than
-    MULTI_STATE_LIMIT raise TooLarge before any table exists.  With two
-    chains the result matches plsa_static_pair exactly.
+    Visits index tuples s in lexicographic order.  box[s] keys the best
+    valid p <= s on every chain as val * N + (N - 1 - flat): one max keeps
+    the larger value, then the smaller state.  Advancing the non-empty set
+    S of chains, the best predecessor is read at box[s - 1_S].  A state
+    there that also advances chains outside S is undercounted through S and
+    counted exactly through its own set, so the best value is unchanged;
+    and a predecessor that attains it advances exactly S, so ties still go
+    to the most chains advanced, then the smallest state.  Work is
+    O((2^m + m) N) for N index tuples; more than MULTI_STATE_LIMIT raise
+    TooLarge before the table exists.  With two chains the result matches
+    plsa_static_pair exactly.
     """
     m = len(chains)
     if m < 2:
@@ -445,11 +452,12 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
     dims = [n + 1 for n in shape]
     size = math.prod(dims)
     strides = [math.prod(dims[c + 1:]) for c in range(m)]
-    # per advance set S: |S|, B_S, and the flat offsets of s - 1_S and s - e_c
+    # per advance set S: |S| and the flat offset of s - 1_S
     sets = [
-        (len(S), [-1] * size, sum(strides[c] for c in S), [strides[c] for c in S])
+        (len(S), sum(strides[c] for c in S))
         for k in range(1, m + 1) for S in itertools.combinations(range(m), k)
     ]
+    box = [-1] * size  # key of the best valid p <= s on every chain
     pred = [-1] * size  # key of the step before s on its optimal walk
     best = -1
     for f, s in enumerate(itertools.product(*map(range, dims))):
@@ -459,13 +467,12 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
         if star_compatible([p[i - 1] for p, i in zip(pts, s)], delta):
             # largest value, then most chains advanced, then smallest state
             val, _, pred[f] = max(
-                ((b // size + k, k, b) for k, box, back, _ in sets if (b := box[f - back]) >= 0),
+                ((b // size + k, k, b) for k, back in sets if (b := box[f - back]) >= 0),
                 default=(m, 0, -1),
             )
             key = val * size + size - 1 - f
             best = max(best, key)
-        for _, box, _, units in sets:
-            box[f] = max(key, *[box[f - u] for u in units])
+        box[f] = max(key, *[box[f - st] for st in strides])
 
     if best < 0:
         return _empty_result(m)

@@ -150,14 +150,15 @@ def report_walk(data: dict, arity: int) -> tuple[tuple[int, ...], ...]:
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+# emit_alignment_svg's canvas size and border, in SVG user units
+SVG_WIDTH = 800
+SVG_HEIGHT = 600
+SVG_MARGIN = 40.0
 
 
 def emit_alignment_svg(
     chains: Sequence[Chain3D],
     walk: Sequence[tuple[int, ...]],
-    width: int = 800,
-    height: int = 600,
-    margin: float = 40.0,
 ) -> str:
     """Draw chains and their coupling as a standalone SVG document.
 
@@ -166,6 +167,7 @@ def emit_alignment_svg(
     Each walk step contributes one dashed line per coupled pair, from the
     first chain's vertex to each other chain's vertex, class "match".
     """
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     arrays = [c.as_array() for c in chains]
     pooled = np.vstack(arrays)
     center = pooled.mean(axis=0)

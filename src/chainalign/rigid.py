@@ -21,7 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateTriple, IncompatibleTriple, check_threshold
+from .errors import DegenerateTriple, IncompatibleTriple, TooLarge, check_threshold
+from .frechet import PAIR_CELL_LIMIT
 from .geometry import Chain3D, RigidMotion, apply_motion, motion_from_triples
 from .plsa import AlignmentResult, plsa_static_pair_fast
 
@@ -98,7 +99,9 @@ def enumerate_candidate_motions(
     The triples scan reads the math.dist edge lengths of each chain from an
     (n, n) table and tests all b-triples of one a-triple with numpy, so its
     memory is O(len(a)**2 + len(b)**2) and the stream is the one a pair-by-
-    pair loop over both lexicographic triple lists would produce.
+    pair loop over both lexicographic triple lists would produce.  With a
+    chain of fewer than 3 vertices it yields nothing and builds no table; a
+    table over PAIR_CELL_LIMIT cells raises TooLarge before it is built.
 
     The stream is deterministic for a fixed (a, b, delta, config).
     """
@@ -118,6 +121,8 @@ def enumerate_candidate_motions(
         return
 
     pa, pb = a.points, b.points
+    if min(len(pa), len(pb)) < 3:
+        return
     ea, eb = _edge_table(pa), _edge_table(pb)
     upper = np.triu(np.ones((len(pb), len(pb)), dtype=bool), 1)
 
@@ -156,12 +161,14 @@ def enumerate_candidate_motions(
 
 
 def _edge_table(points: tuple) -> np.ndarray:
-    """(n, n) table of math.dist(points[i], points[j]) for i < j, 0 elsewhere."""
+    """(n, n) table of math.dist(points[i], points[j]) for i < j, 0 elsewhere,
+    filled one row at a time."""
     n = len(points)
+    if n * n > PAIR_CELL_LIMIT:
+        raise TooLarge(f"{n} vertices need {n * n} edge-table cells, over {PAIR_CELL_LIMIT}")
     table = np.zeros((n, n))
-    table[np.triu_indices(n, 1)] = [
-        math.dist(p, q) for p, q in itertools.combinations(points, 2)
-    ]
+    for i, p in enumerate(points):
+        table[i, i + 1:] = [math.dist(p, q) for q in points[i + 1:]]
     return table
 
 

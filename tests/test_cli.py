@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -223,6 +224,27 @@ def test_bad_parameters_exit_3(tmp_path, capsys):
     assert main(["plsa", huge, huge, "--delta", "1"]) == 3
     assert main(["plsa-rigid", huge, huge, "--delta", "1"]) == 3
     capsys.readouterr()
+
+
+def test_work_over_the_cell_limit_exits_3(tmp_path, capsys):
+    huge = write(tmp_path / "huge.chain", chain_text([(i, 0, 0) for i in range(5001)]))
+    tri = write(tmp_path / "tri.chain", chain_text([(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
+    assert 5001 * 5001 > PAIR_CELL_LIMIT
+    for argv in (["dfd", huge, huge], ["plsa-rigid", huge, tri, "--delta", "1"]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # parsing takes about 0.7 MB per chain; a full table would take 0.2 GB
+        assert peak < 3_000_000
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error:") == 2
+    two = write(tmp_path / "two.chain", chain_text([(0, 0, 0), (1, 0, 0)]))
+    data = run_json(capsys, ["plsa-rigid", huge, two, "--delta", "1", "--format", "json"])
+    assert data["value"] == 5
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

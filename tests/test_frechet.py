@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from chainalign.errors import NegativeDelta, TooLarge
 from chainalign.frechet import (
+    PAIR_CELL_LIMIT,
     PairedWalk,
     brute_force_frechet,
     brute_force_frechet_segments,
@@ -130,3 +132,16 @@ def test_brute_force_guards():
         brute_force_frechet(big, other)
     with pytest.raises(TooLarge):
         brute_force_frechet_segments(big, chain_from_coords("c", [(0, 0, 0)] * 2))
+
+
+def test_over_the_cell_limit_raises_before_the_table():
+    wide = chain_from_coords("wide", [(float(i), 0, 0) for i in range(5001)])
+    assert 5001 * 5001 > PAIR_CELL_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            discrete_frechet(wide, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the table would take about 0.4 GB

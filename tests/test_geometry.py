@@ -6,6 +6,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainalign.errors import DegenerateTriple, IncompatibleTriple
 from chainalign.geometry import (
@@ -165,17 +167,33 @@ def test_triangle_area_known_values():
     assert triangle_area(Point3(0, 0, 0), Point3(1, 1, 1), Point3(2, 2, 2)) == pytest.approx(0.0)
 
 
-def test_motion_inverse_round_trip():
+motions = st.builds(
+    lambda axis, angle, t: RigidMotion(rodrigues(axis, angle), t),
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)),
+    st.floats(0, 2 * math.pi),
+    st.tuples(*[st.floats(-5, 5)] * 3),
+)
+
+
+def seeded_round_trips(test):
+    # the ten cases of random.Random(55) as explicit examples
     rng = random.Random(55)
     for _ in range(10):
         motion = random_motion(rng)
-        rot = np.asarray(motion.rotation)
-        inv_rot = rot.T
-        inv_t = -inv_rot @ np.asarray(motion.translation)
-        inverse = RigidMotion(tuple(map(tuple, inv_rot)), tuple(inv_t))
-        chain = chain_from_coords(
-            "c", [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
-        )
-        back = apply_motion(inverse, apply_motion(motion, chain))
-        for p, q in zip(back.points, chain.points):
-            assert dist(p, q) <= 1e-9
+        coords = [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
+        test = example(motion, coords)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(motions, st.lists(st.tuples(*[st.floats(-2, 2)] * 3), min_size=1, max_size=5))
+@seeded_round_trips
+def test_motion_inverse_round_trip(motion, coords):
+    rot = np.asarray(motion.rotation)
+    inv_rot = rot.T
+    inv_t = -inv_rot @ np.asarray(motion.translation)
+    inverse = RigidMotion(tuple(map(tuple, inv_rot)), tuple(inv_t))
+    chain = chain_from_coords("c", coords)
+    back = apply_motion(inverse, apply_motion(motion, chain))
+    for p, q in zip(back.points, chain.points):
+        assert dist(p, q) <= 1e-9

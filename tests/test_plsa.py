@@ -249,6 +249,18 @@ def test_validator_reports_the_distance_of_a_displaced_common_chain():
     assert f"common chain is {measured} from chain 0" in str(exc.value)
 
 
+def test_validator_leaves_out_a_distance_over_the_cell_limit():
+    n = 5001
+    line = chain_from_coords("line", [(float(i), 0, 0) for i in range(n)])
+    idx = tuple(range(1, n + 1))
+    far = Chain3D("common", line.points[:-1] + (Point3(n + 5.0, 0.0, 0.0),))
+    result = AlignmentResult(2 * n, (idx, idx), JointWalk(tuple(zip(idx, idx))), far)
+    assert n * n > PAIR_CELL_LIMIT
+    with pytest.raises(InvariantError) as exc:
+        validate_alignment_result(result, (line, line), 0.5)
+    assert "common chain is too far from chain 0 subsequence" in str(exc.value)
+
+
 def test_guards():
     a = chain_from_coords("a", [(0, 0, 0)])
     with pytest.raises(ValueError):
@@ -314,6 +326,19 @@ def test_fast_pair_memory_per_cell():
         tracemalloc.stop()
     assert result.value == 1200  # every cell is valid
     assert peak <= 20 * 600 * 600
+
+
+def test_multi_memory_on_dense_chains():
+    rng = random.Random(89)
+    chains = [rand_chain(rng, f"c{k}", 10, hi=1.0) for k in range(4)]
+    tracemalloc.start()
+    try:
+        result = plsa_static_multi(chains, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == 40  # every index tuple is compatible
+    assert peak <= 1_000_000  # one table of 11**4 keys, not one per advance set
 
 
 def test_deterministic_across_runs():

@@ -7,7 +7,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainalign import rigid
@@ -16,11 +16,12 @@ from chainalign.errors import (
     IncompatibleTriple,
     InvalidThreshold,
     NegativeDelta,
+    TooLarge,
 )
 from chainalign.geometry import (
     RigidMotion, apply_motion, chain_from_coords, dist, motion_from_triples,
 )
-from chainalign.plsa import plsa_static_pair_fast
+from chainalign.plsa import PAIR_CELL_LIMIT, plsa_static_pair_fast
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
 
 # fixed examples, so a run is reproducible and leaves no example database
@@ -112,27 +113,6 @@ def test_stream_members_are_valid_motions():
         assert abs(d_before - d_after) <= 1e-9
 
 
-def test_random_mode_is_seed_deterministic():
-    rng = random.Random(107)
-    a = rand_chain(rng, "a", 5)
-    b = rand_chain(rng, "b", 5)
-    one = list(enumerate_candidate_motions(a, b, 0.5, SearchConfig("random", 10, 5)))
-    two = list(enumerate_candidate_motions(a, b, 0.5, SearchConfig("random", 10, 5)))
-    other = list(enumerate_candidate_motions(a, b, 0.5, SearchConfig("random", 10, 6)))
-    assert one == two
-    assert one != other
-
-
-def test_search_is_deterministic():
-    rng = random.Random(109)
-    a, b = planted_pair(rng, 6)
-    config = SearchConfig(mode="triples", budget=10**6)
-    motion1, res1 = plsa_rigid_pair(a, b, 1e-6, config)
-    motion2, res2 = plsa_rigid_pair(a, b, 1e-6, config)
-    assert motion1 == motion2
-    assert res1 == res2
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(mode="sideways")
@@ -206,6 +186,36 @@ def chains(coord):
     )
 
 
+def seeded_chains(seed, n):
+    rng = random.Random(seed)
+    return rand_chain(rng, "a", n), rand_chain(rng, "b", n)
+
+
+@fixed_examples
+@given(chains(real_coord), chains(real_coord), st.integers(0, 2**64), st.integers(1, 12))
+@example(*seeded_chains(107, 5), 5, 10)
+def test_random_mode_is_seed_deterministic(a, b, seed, budget):
+    def stream(s):
+        return list(enumerate_candidate_motions(a, b, 0.5, SearchConfig("random", budget, s)))
+
+    assert stream(seed) == stream(seed)
+    assert stream(seed) != stream(seed + 1)
+
+
+@settings(fixed_examples, max_examples=40)
+@given(
+    chains(grid_coord), chains(grid_coord), st.sampled_from([1e-6, 0.5, 1.0]),
+    st.sampled_from(["triples", "random"]), st.integers(1, 60), st.integers(0, 2**64),
+)
+@example(*planted_pair(random.Random(109), 6), 1e-6, "triples", 10**6, None)
+def test_search_is_deterministic(a, b, delta, mode, budget, seed):
+    config = SearchConfig(mode, budget, seed)
+    motion1, res1 = plsa_rigid_pair(a, b, delta, config)
+    motion2, res2 = plsa_rigid_pair(a, b, delta, config)
+    assert motion1 == motion2
+    assert res1 == res2
+
+
 def assert_scan_equals_oracle(a, b, data):
     # tolerances at the instance's own edge-length differences, where
     # abs(x - y) > tol is decided at equality
@@ -262,3 +272,34 @@ def test_first_triples_candidate_needs_little_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8_000_000
+
+
+def test_edge_table_over_the_cell_limit_raises_before_it_is_built():
+    wide = chain_from_coords("wide", [(float(i), 0, 0) for i in range(5001)])
+    tri = chain_from_coords("tri", [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    assert 5001 * 5001 > PAIR_CELL_LIMIT
+    for a, b in ((wide, tri), (tri, wide)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                plsa_rigid_pair(a, b, 1.0, SearchConfig(mode="triples"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the table would take about 0.2 GB
+
+
+def test_chain_without_a_triple_builds_no_edge_table():
+    wide = chain_from_coords("wide", [(float(i), 0, 0) for i in range(5001)])
+    two = chain_from_coords("two", [(0, 0, 0), (1, 0, 0)])
+    config = SearchConfig(mode="triples")
+    for a, b in ((wide, two), (two, wide)):
+        tracemalloc.start()
+        try:
+            assert list(enumerate_candidate_motions(a, b, 1.0, config)) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        identity = (RigidMotion.identity(), plsa_static_pair_fast(a, b, 1.0))
+        assert plsa_rigid_pair(a, b, 1.0, config) == identity
