@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -17,6 +18,7 @@ __all__ = [
     "RigidMotion",
     "dist",
     "apply_motion",
+    "move_array",
     "motion_from_triples",
     "triangle_area",
     "ORTHONORMAL_TOL",
@@ -76,9 +78,19 @@ class Chain3D:
     def __len__(self) -> int:
         return len(self.points)
 
+    def __getstate__(self) -> dict:
+        # copies and pickles carry the fields only; the array is rebuilt
+        return {"id": self.id, "points": self.points}
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.array(self.points, dtype=float)
+        arr.flags.writeable = False
+        return arr
+
     def as_array(self) -> np.ndarray:
-        """Vertices as an (n, 3) float array."""
-        return np.array(self.points, dtype=float)
+        """Vertices as a read-only (n, 3) float array, built once per chain."""
+        return self._array
 
 
 def chain_from_coords(id: str, coords: Iterable[Sequence[float]]) -> Chain3D:
@@ -135,9 +147,15 @@ def dist(p: Point3, q: Point3) -> float:
     return math.dist(p, q)
 
 
+def move_array(motion: RigidMotion, arr: np.ndarray) -> np.ndarray:
+    """Rows of an (n, 3) coordinate array moved by ``motion``."""
+    return arr @ motion.matrix().T + motion.offset()
+
+
 def apply_motion(motion: RigidMotion, chain: Chain3D) -> Chain3D:
-    """Return a copy of the chain moved by ``motion`` (same id, same order)."""
-    moved = chain.as_array() @ motion.matrix().T + motion.offset()
+    """Return a copy of the chain moved by ``motion`` (same id, same order),
+    with the floats of move_array(motion, chain.as_array())."""
+    moved = move_array(motion, chain.as_array())
     return Chain3D(chain.id, tuple(Point3(x, y, z) for x, y, z in moved.tolist()))
 
 

@@ -320,14 +320,14 @@ def plsa_static_pair(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
 # prefix-maximum dynamic program (two chains, quadratic total work)
 # ---------------------------------------------------------------------------
 
-def _within_delta(a: Chain3D, b: Chain3D, delta: float) -> np.ndarray:
-    """The (|A|, |B|) matrix of math.dist(a_i, b_j) <= delta, bit for bit.
+def _within_delta(pa: np.ndarray, pb: np.ndarray, delta: float) -> np.ndarray:
+    """The (|A|, |B|) matrix of math.dist(a_i, b_j) <= delta, bit for bit,
+    from the (n, 3) coordinate arrays of the two chains.
 
     numpy computes every distance; the cells it places within rounding
     slack of delta, or at inf (an overflowed square), are re-decided with
-    math.dist as the reference does.
+    math.dist on the rows' floats, which are those of the chains' Point3s.
     """
-    pa, pb = a.as_array(), b.as_array()
     dmat = np.zeros((len(pa), len(pb)))
     diff = np.empty_like(dmat)
     with np.errstate(over="ignore"):  # an overflowed square is re-decided
@@ -340,14 +340,13 @@ def _within_delta(a: Chain3D, b: Chain3D, delta: float) -> np.ndarray:
     valid = dmat <= delta
     slack = DIST_REL_SLACK * delta + DIST_ABS_SLACK
     unsure = (dmat >= delta - slack) & ((dmat <= delta + slack) | (dmat == np.inf))
-    pa, pb = a.points, b.points
     for i, j in zip(*np.nonzero(unsure)):
-        valid[i, j] = math.dist(pa[i], pb[j]) <= delta
+        valid[i, j] = math.dist(pa[i].tolist(), pb[j].tolist()) <= delta
     return valid
 
 
-def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
-    """Same contract and tie-breaking as plsa_static_pair in O(|A| |B|).
+def _pair_kernel(valid: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The prefix-maximum DP over the (|A|, |B|) validity matrix.
 
     The three predecessor scans collapse into running maxima.  box_val[t]
     is the best value over the rows above and the columns left of t, with
@@ -357,16 +356,13 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
     larger, so the A-advance neither wins nor ties there.  B-advances take
     the previous valid cell of the row (values increase strictly along the
     valid cells of a row or column, so that cell is the unique maximum).
-    Values, walks and ties agree with the reference exactly.  More than
-    PAIR_CELL_LIMIT cells raise TooLarge before any allocation.
+    A row without a valid cell changes neither the running maxima nor the
+    best, so only the rows holding one are visited.
+
+    Returns the best value, its first cell as a flat index i * |B| + j (-1
+    when no cell is valid) and the flat predecessor table.
     """
-    check_threshold(delta)
-    n1, n2 = len(a), len(b)
-    if n1 * n2 > PAIR_CELL_LIMIT:
-        raise TooLarge(
-            f"{n1 * n2} cells ({n1} x {n2}) exceed the pair limit of {PAIR_CELL_LIMIT}"
-        )
-    valid = _within_delta(a, b, delta)
+    n1, n2 = valid.shape
     # pred[i, j]: flat index k * n2 + l of the step before (i, j) on the
     # cell's optimal walk; -1 where that walk starts
     pred = np.full((n1, n2), -1, dtype=np.int64)
@@ -381,10 +377,8 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
     best_val = 0
     best = -1
 
-    for i in range(n1):
+    for i in np.flatnonzero(valid.any(axis=1)).tolist():
         vc = np.flatnonzero(valid[i])
-        if not vc.size:
-            continue
         both = box_val[vc] + 2.0
         up = incl_val[vc] + 1.0
         base = np.maximum(2.0, np.maximum(both, up))
@@ -405,7 +399,24 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
         better = prefix > incl_val
         incl_val[better] = prefix[better]
         incl_arg[better] = i * n2 + last[better]
+    return best_val, best, pred
 
+
+def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
+    """Same contract and tie-breaking as plsa_static_pair in O(|A| |B|).
+
+    _pair_kernel fills the DP over the validity matrix of _within_delta,
+    and the walk is read back from its predecessor table.  Values, walks
+    and ties agree with the reference exactly.  More than PAIR_CELL_LIMIT
+    cells raise TooLarge before any allocation.
+    """
+    check_threshold(delta)
+    n1, n2 = len(a), len(b)
+    if n1 * n2 > PAIR_CELL_LIMIT:
+        raise TooLarge(
+            f"{n1 * n2} cells ({n1} x {n2}) exceed the pair limit of {PAIR_CELL_LIMIT}"
+        )
+    best_val, best, pred = _pair_kernel(_within_delta(a.as_array(), b.as_array(), delta))
     if best < 0:
         return _empty_result(2)
     steps: list[tuple[int, ...]] = []

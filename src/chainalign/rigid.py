@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DegenerateTriple, IncompatibleTriple, TooLarge, check_threshold
 from .frechet import PAIR_CELL_LIMIT
-from .geometry import Chain3D, RigidMotion, apply_motion, motion_from_triples
-from .plsa import AlignmentResult, plsa_static_pair_fast
+from .geometry import Chain3D, RigidMotion, apply_motion, motion_from_triples, move_array
+from .plsa import AlignmentResult, _pair_kernel, _within_delta, plsa_static_pair_fast
 
 __all__ = [
     "SearchConfig",
@@ -177,9 +177,11 @@ def plsa_rigid_pair(
 ) -> tuple[RigidMotion, AlignmentResult]:
     """Best (motion, alignment) over the identity plus the candidate stream.
 
-    Each candidate moves b and is scored with the static pair alignment of
-    (a, moved b); strictly larger values replace the incumbent, so ties keep
-    the earliest candidate and the identity is the floor.  Stops early when
+    Each candidate moves b's coordinate array and is scored with the value
+    of the static pair alignment of (a, moved b); strictly larger values
+    replace the incumbent, so ties keep the earliest candidate and the
+    identity is the floor.  Only a new incumbent is moved with apply_motion,
+    whose floats are the scored ones, and aligned in full.  Stops early when
     a candidate aligns every vertex of both chains.  The returned alignment
     indexes the original chains; its polylines refer to b after the motion.
     """
@@ -188,10 +190,11 @@ def plsa_rigid_pair(
     best = plsa_static_pair_fast(a, b, delta)
     if best.value == ceiling:
         return best_motion, best
+    pa, pb = a.as_array(), b.as_array()
     for motion in enumerate_candidate_motions(a, b, delta, config):
-        res = plsa_static_pair_fast(a, apply_motion(motion, b), delta)
-        if res.value > best.value:
-            best_motion, best = motion, res
+        value = _pair_kernel(_within_delta(pa, move_array(motion, pb), delta))[0]
+        if value > best.value:
+            best_motion, best = motion, plsa_static_pair_fast(a, apply_motion(motion, b), delta)
             if best.value == ceiling:
                 break
     return best_motion, best

@@ -18,6 +18,7 @@ from chainalign.geometry import (
     chain_from_coords,
     dist,
     motion_from_triples,
+    move_array,
     triangle_area,
 )
 
@@ -104,6 +105,48 @@ def test_chain_basics():
     arr = c.as_array()
     assert arr.shape == (2, 3)
     assert arr[1, 2] == 3.0
+
+
+def test_chain_array_is_built_once_and_read_only():
+    c = chain_from_coords("abc", [(0, 0, 0), (1, 2, 3)])
+    arr = c.as_array()
+    assert c.as_array() is arr
+    with pytest.raises(ValueError):
+        arr[0, 0] = 7.0
+    assert c.points[0] == (0.0, 0.0, 0.0)
+
+
+def test_chain_array_leaves_equality_hash_and_copies_alone():
+    c = chain_from_coords("abc", [(0, 0, 0), (1, 2, 3)])
+    fresh = chain_from_coords("abc", [(0, 0, 0), (1, 2, 3)])
+    c.as_array()
+    assert c == fresh and hash(c) == hash(fresh)
+    assert c != chain_from_coords("abd", [(0, 0, 0), (1, 2, 3)])
+    assert len({c, fresh}) == 1
+    # copies and pickles carry the fields, and build their own array
+    for twin in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(twin) is Chain3D and twin == c and hash(twin) == hash(c)
+        assert "_array" not in vars(twin)
+        assert twin.as_array() is not c.as_array()
+        assert twin.as_array().tobytes() == c.as_array().tobytes()
+        assert not twin.as_array().flags.writeable
+
+
+def test_apply_motion_floats_equal_the_moved_array():
+    # the rigid search scores move_array's floats and reports apply_motion's
+    rng = random.Random(23)
+    chains = [
+        Chain3D("ints", (Point3(0, 0, 0), Point3(3, -1, 2), Point3(-7, 5, 11))),
+        Chain3D("mixed", (Point3(1, 2.5, -3), Point3(0.1, 0, 9))),
+    ]
+    for _ in range(10):
+        chains.append(chain_from_coords(
+            "c", [(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(7)]
+        ))
+    for c in chains:
+        for motion in (RigidMotion.identity(), random_motion(rng)):
+            moved = apply_motion(motion, c)
+            assert moved.as_array().tobytes() == move_array(motion, c.as_array()).tobytes()
 
 
 def test_rigid_motion_validation():

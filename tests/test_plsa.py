@@ -80,6 +80,38 @@ def test_fast_equals_reference_everywhere():
             assert r.common_chain.points == f.common_chain.points
 
 
+def test_fast_equals_reference_with_empty_rows():
+    # valid cells sit in a few rows of A, with rows holding none between
+    # them and at both ends; grid coordinates make many walks tie
+    far = [(100.0 + 10 * k, 0.0, 0.0) for k in range(20)]
+    cases = [(
+        chain_from_coords("a", [far[0], (0.5, 0, 0), far[1], far[2], (2.5, 0, 0), far[3],
+                                (4.5, 0, 0), far[4]]),
+        chain_from_coords("b", [(float(k), 0, 0) for k in range(6)]),
+        0.5,
+    )]
+    rng = random.Random(59)
+    for _ in range(60):
+        n1 = rng.randint(5, 14)
+        kept = set(rng.sample(range(1, n1 - 1), rng.randint(1, max(1, (n1 - 2) // 2))))
+        a = chain_from_coords("a", [
+            (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)) if i in kept else far[i]
+            for i in range(n1)
+        ])
+        pb = [(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+              for _ in range(rng.randint(0, 9))]
+        # one vertex of B repeats a kept vertex of A, so some row is valid
+        pb.insert(rng.randint(0, len(pb)), a.points[rng.choice(sorted(kept))])
+        b = chain_from_coords("b", pb)
+        cases.append((a, b, rng.choice([0.0, 1.0, math.sqrt(2), 2.0])))
+    for a, b, delta in cases:
+        rows = [i for i, p in enumerate(a.points) if any(math.dist(p, q) <= delta for q in b.points)]
+        assert rows and rows[0] > 0 and rows[-1] < len(a) - 1
+        assert plsa_static_pair_fast(a, b, delta) == plsa_static_pair(a, b, delta)
+    r = plsa_static_pair_fast(*cases[0])
+    assert r.value == 9 and r.subsequences == ((2, 5, 7), (1, 2, 3, 4, 5, 6))
+
+
 @pytest.mark.parametrize("p, q, delta, value", [
     # numpy's sqrt(einsum) rounds this distance one ulp above math.dist
     ((4.8, 3.7, -2.1), (4.6, 0.4, 1.8), 5.112729212465687, 2),

@@ -216,6 +216,42 @@ def test_search_is_deterministic(a, b, delta, mode, budget, seed):
     assert res1 == res2
 
 
+def oracle_rigid_pair(a, b, delta, config):
+    """The search loop that aligns every candidate's moved chain in full."""
+    ceiling = len(a) + len(b)
+    best_motion, best = RigidMotion.identity(), plsa_static_pair_fast(a, b, delta)
+    if best.value == ceiling:
+        return best_motion, best
+    for motion in enumerate_candidate_motions(a, b, delta, config):
+        res = plsa_static_pair_fast(a, apply_motion(motion, b), delta)
+        if res.value > best.value:
+            best_motion, best = motion, res
+            if best.value == ceiling:
+                break
+    return best_motion, best
+
+
+search_configs = st.builds(
+    SearchConfig, st.sampled_from(["triples", "random"]), st.integers(1, 40),
+    st.integers(0, 2**64),
+)
+
+
+@fixed_examples
+@given(chains(grid_coord), chains(grid_coord), st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+       search_configs)
+@example(*planted_pair(random.Random(127), 6), 1e-6, SearchConfig("triples", 40))
+def test_search_equals_oracle_on_grid_chains(a, b, delta, config):
+    # grid chains have many equal-valued candidates, of which the earliest wins
+    assert plsa_rigid_pair(a, b, delta, config) == oracle_rigid_pair(a, b, delta, config)
+
+
+@fixed_examples
+@given(chains(real_coord), chains(real_coord), st.floats(0.0, 8.0), search_configs)
+def test_search_equals_oracle_on_continuous_chains(a, b, delta, config):
+    assert plsa_rigid_pair(a, b, delta, config) == oracle_rigid_pair(a, b, delta, config)
+
+
 def assert_scan_equals_oracle(a, b, data):
     # tolerances at the instance's own edge-length differences, where
     # abs(x - y) > tol is decided at equality
