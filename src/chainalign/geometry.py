@@ -160,10 +160,18 @@ def apply_motion(motion: RigidMotion, chain: Chain3D) -> Chain3D:
 
 
 def triangle_area(a: Point3, b: Point3, c: Point3) -> float:
-    """Area of the triangle spanned by three points."""
-    u = np.subtract(b, a)
-    v = np.subtract(c, a)
-    return 0.5 * float(np.linalg.norm(np.cross(u, v)))
+    """Area of the triangle spanned by three points.
+
+    The cross product of b - a and c - a is formed in Python, component by
+    component in the order np.cross forms them, so the area has the floats
+    of np.cross without its per-call array handling.  Integer coordinates
+    stay exact integers up to the final conversion to float.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    u0, u1, u2 = bx - ax, by - ay, bz - az
+    v0, v1, v2 = cx - ax, cy - ay, cz - az
+    cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    return 0.5 * float(np.linalg.norm(np.array(cross, dtype=float)))
 
 
 def motion_from_triples(

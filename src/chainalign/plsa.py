@@ -359,6 +359,15 @@ def _pair_kernel(valid: np.ndarray) -> tuple[int, int, np.ndarray]:
     A row without a valid cell changes neither the running maxima nor the
     best, so only the rows holding one are visited.
 
+    The running maximum never decreases along the columns: box_val[t + 1]
+    covers every cell box_val[t] covers.  So when a row holds one valid
+    cell, at column j, the columns whose maximum its value x strictly beats
+    are one run starting at j, found by a binary search of box_val[j + 1:].
+    Such a row reads box_val[j] and box_val[j + 1] as scalars, picks x and
+    the predecessor with the vector pass's rule and tie order, and writes
+    that run: O(log |B|) steps after finding the cell, against the vector
+    pass's O(|B|) array operations, which rows with more cells still take.
+
     Returns the best value, its first cell as a flat index i * |B| + j (-1
     when no cell is valid) and the flat predecessor table.
     """
@@ -379,6 +388,19 @@ def _pair_kernel(valid: np.ndarray) -> tuple[int, int, np.ndarray]:
 
     for i in np.flatnonzero(valid.any(axis=1)).tolist():
         vc = np.flatnonzero(valid[i])
+        if vc.size == 1:
+            j = int(vc[0])
+            lo, hi = box_val[j : j + 2].tolist()
+            both, up = lo + 2.0, hi + 1.0
+            x = max(2.0, both, up)
+            pred[i, j] = box_arg[j] if both == x else incl_arg[j] if up == x else -1
+            flat = i * n2 + j
+            if x > best_val:
+                best_val, best = int(x), flat
+            end = j + int(np.searchsorted(incl_val[j:], x))
+            incl_val[j:end] = x
+            incl_arg[j:end] = flat
+            continue
         both = box_val[vc] + 2.0
         up = incl_val[vc] + 1.0
         base = np.maximum(2.0, np.maximum(both, up))

@@ -210,6 +210,40 @@ def test_triangle_area_known_values():
     assert triangle_area(Point3(0, 0, 0), Point3(1, 1, 1), Point3(2, 2, 2)) == pytest.approx(0.0)
 
 
+def cross_area(a, b, c):
+    # oracle: the area as np.cross gives it
+    u = np.subtract(b, a)
+    v = np.subtract(c, a)
+    return 0.5 * float(np.linalg.norm(np.cross(u, v)))
+
+
+coords = st.floats(-1e3, 1e3)
+# the third point near the line through the first two, off by a tiny step
+near_collinear = st.builds(
+    lambda p, d, s, e: (p, tuple(x + y for x, y in zip(p, d)),
+                        tuple(x + s * y + z for x, y, z in zip(p, d, e))),
+    st.tuples(*[coords] * 3),
+    st.tuples(*[st.floats(-10, 10)] * 3),
+    st.floats(-3, 3),
+    st.tuples(*[st.sampled_from([0.0, 1e-12, -1e-9, 5e-7])] * 3),
+)
+triples = st.one_of(
+    st.tuples(*[st.tuples(*[coords] * 3)] * 3),
+    near_collinear,
+    st.tuples(*[st.tuples(*[st.integers(-10**6, 10**6)] * 3)] * 3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(triples)
+@example(((0, 0, 0), (3, 0, 0), (0, 4, 0)))
+@example(((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)))
+@example(((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9)))
+def test_triangle_area_equals_cross_product_area(pts):
+    a, b, c = (Point3(*p) for p in pts)
+    assert triangle_area(a, b, c) == cross_area(a, b, c)
+
+
 motions = st.builds(
     lambda axis, angle, t: RigidMotion(rodrigues(axis, angle), t),
     st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)),

@@ -112,6 +112,40 @@ def test_fast_equals_reference_with_empty_rows():
     assert r.value == 9 and r.subsequences == ((2, 5, 7), (1, 2, 3, 4, 5, 6))
 
 
+def single_cell_rows(cols, n2):
+    # B's vertices lie 10 apart on the x axis; row i of A sits on B's vertex
+    # cols[i], so at delta 1 it holds that one valid cell, or none for None
+    a = chain_from_coords("a", [
+        (10.0 * j, 0.0, 0.0) if j is not None else (10.0 * i, 50.0, 0.0)
+        for i, j in enumerate(cols)
+    ])
+    return a, chain_from_coords("b", [(10.0 * j, 0.0, 0.0) for j in range(n2)]), 1.0
+
+
+def test_fast_equals_reference_with_single_cell_rows():
+    cases = [
+        # row 3's both-advance from (2, 0) and A-advance from (1, 1) both
+        # give 5; the tie goes to the both-advance
+        single_cell_rows([0, 1, 0, 1], 2),
+        # cells at the first and last column, and left of earlier rows' cells
+        single_cell_rows([None, 4, 0, 2, None, 4, 1, 0, 3, None], 5),
+    ]
+    rng = random.Random(61)
+    for _ in range(100):
+        n2 = rng.randint(1, 7)
+        cols = [rng.choice([None, *range(n2)]) for _ in range(rng.randint(1, 14))]
+        cols[rng.randrange(len(cols))] = rng.randrange(n2)
+        cases.append(single_cell_rows(cols, n2))
+    for a, b, delta in cases:
+        for p in a.points:
+            assert sum(math.dist(p, q) <= delta for q in b.points) in (0, 1)
+        assert plsa_static_pair_fast(a, b, delta) == plsa_static_pair(a, b, delta)
+    r = plsa_static_pair_fast(*cases[0])
+    assert r.value == 5 and r.walk.steps == ((1, 1), (3, 1), (4, 2))
+    r = plsa_static_pair_fast(*cases[1])
+    assert r.value == 6 and r.subsequences == ((3, 4, 6), (1, 3, 5))
+
+
 @pytest.mark.parametrize("p, q, delta, value", [
     # numpy's sqrt(einsum) rounds this distance one ulp above math.dist
     ((4.8, 3.7, -2.1), (4.6, 0.4, 1.8), 5.112729212465687, 2),
