@@ -9,9 +9,12 @@ several is rejected with exit 2) or PDB files when the path ends in .pdb,
 optionally narrowed with --pdb-chain.
 
 plsa aligns two chains with the quadratic prefix-maximum DP, whose values,
-walks and tie-breaks equal the quartic reference's, and which refuses more
-than plsa.PAIR_CELL_LIMIT cells (exit 3, also for plsa-rigid); --fast is
-accepted and has no effect.  Three or four chains run the multi-chain DP,
+walks and tie-breaks equal the quartic reference's.  Its time and memory
+follow the candidate cells (those in an x band of width 2 delta around each
+vertex) and the valid ones, not the |A| |B| cells, though with every cell
+valid they are still quadratic; it refuses more than plsa.PAIR_CELL_LIMIT
+cells (exit 3, also for plsa-rigid).  --fast is accepted and has no
+effect.  Three or four chains run the multi-chain DP,
 one table and O((2^m + m) N) work for m chains of N index tuples, which
 refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).  dfd
 refuses more than PAIR_CELL_LIMIT cells, and plsa-rigid --mode triples a

@@ -31,8 +31,9 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 16
 SEGMENT_LIMIT = 10
 # the most cells a table indexed by two chains' vertices may hold; the
-# distance table here and plsa's fast pair DP each peak at about 16 bytes
-# per cell, so 5000 x 5000 cells take about 0.4 GB
+# distance table here peaks at about 16 bytes per cell, so 5000 x 5000
+# cells take about 0.4 GB, and plsa's fast pair DP at most about 12 bytes
+# per valid cell
 PAIR_CELL_LIMIT = 25_000_000
 
 

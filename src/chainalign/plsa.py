@@ -79,6 +79,11 @@ VALIDATE_TOL = 1e-9
 # underflowed squares
 DIST_REL_SLACK = 16 * np.finfo(float).eps
 DIST_ABS_SLACK = 1e-150
+# flat cell indices i * |B| + j, and positions in a list of cells, fit in
+# int32 below 2**31 cells
+CELL_INDEX = np.int32 if PAIR_CELL_LIMIT < 2**31 else np.int64
+# cells per row block of _valid_cells, which bounds its distance temporaries
+BLOCK_CELLS = 1 << 16
 
 NEG = float("-inf")
 
@@ -320,33 +325,73 @@ def plsa_static_pair(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
 # prefix-maximum dynamic program (two chains, quadratic total work)
 # ---------------------------------------------------------------------------
 
-def _within_delta(pa: np.ndarray, pb: np.ndarray, delta: float) -> np.ndarray:
-    """The (|A|, |B|) matrix of math.dist(a_i, b_j) <= delta, bit for bit,
-    from the (n, 3) coordinate arrays of the two chains.
+def _valid_cells(pa: np.ndarray, pb: np.ndarray, delta: float) -> np.ndarray:
+    """The cells (i, j) with math.dist(a_i, b_j) <= delta, bit for bit, as
+    ascending flat indices i * |B| + j, from the (n, 3) coordinate arrays
+    of the two chains.
 
-    numpy computes every distance; the cells it places within rounding
-    slack of delta, or at inf (an overflowed square), are re-decided with
-    math.dist on the rows' floats, which are those of the chains' Point3s.
+    A valid cell's x gap is within delta + slack, so the candidates of a_i
+    are one run of B sorted by x, bounded by two binary searches.  Rows of
+    A are taken in blocks of BLOCK_CELLS // |B|.  A block's distances are
+    computed over the contiguous run of sorted B that covers its rows'
+    runs, with those columns put back in index order, so its temporaries
+    stay within BLOCK_CELLS cells and its valid cells come out ascending.
+    Each distance is numpy's sqrt of the squared differences summed over
+    x, y and z.  Those it places within rounding slack of delta, or at inf
+    (an overflowed square), are re-decided with math.dist on the rows'
+    floats, which are those of the chains' Point3s.
     """
-    dmat = np.zeros((len(pa), len(pb)))
-    diff = np.empty_like(dmat)
-    with np.errstate(over="ignore"):  # an overflowed square is re-decided
-        for k in range(3):
-            np.subtract.outer(pa[:, k], pb[:, k], out=diff)
-            np.multiply(diff, diff, out=diff)
-            dmat += diff
-    del diff
-    np.sqrt(dmat, out=dmat)
-    valid = dmat <= delta
-    slack = DIST_REL_SLACK * delta + DIST_ABS_SLACK
-    unsure = (dmat >= delta - slack) & ((dmat <= delta + slack) | (dmat == np.inf))
-    for i, j in zip(*np.nonzero(unsure)):
-        valid[i, j] = math.dist(pa[i].tolist(), pb[j].tolist()) <= delta
-    return valid
+    n1, n2 = len(pa), len(pb)
+    order = np.argsort(pb[:, 0], kind="stable")
+    bx = pb[order, 0]
+    step = max(1, BLOCK_CELLS // n2)
+    buf = np.empty((2, min(step, n1) * n2))
+    found = [np.empty(0, dtype=CELL_INDEX)]
+    # a bound at inf holds every larger float, and an overflowed square is
+    # re-decided
+    with np.errstate(over="ignore"):
+        slack = DIST_REL_SLACK * delta + DIST_ABS_SLACK
+        # numpy's distances in [unsure_lo, unsure_hi] are re-decided
+        unsure_lo, unsure_hi = delta - slack, delta + slack
+        # a cell numpy or math.dist puts within delta has a rounded x gap
+        # within delta + slack; the second slack covers the rounding of that
+        # gap and of the band's ends
+        reach = delta + 2 * slack
+        firsts = np.arange(0, n1, step)
+        lo = np.minimum.reduceat(np.searchsorted(bx, pa[:, 0] - reach, side="left"), firsts)
+        hi = np.maximum.reduceat(np.searchsorted(bx, pa[:, 0] + reach, side="right"), firsts)
+        for r0, s0, s1 in zip(firsts.tolist(), lo.tolist(), hi.tolist()):
+            if s0 >= s1:
+                continue
+            r1 = min(r0 + step, n1)
+            cols = np.sort(order[s0:s1])
+            qb = pb[cols]
+            w = cols.size
+            dist = buf[0, : (r1 - r0) * w].reshape(r1 - r0, w)
+            diff = buf[1, : (r1 - r0) * w].reshape(r1 - r0, w)
+            np.subtract.outer(pa[r0:r1, 0], qb[:, 0], out=dist)
+            np.multiply(dist, dist, out=dist)
+            for k in (1, 2):
+                np.subtract.outer(pa[r0:r1, k], qb[:, k], out=diff)
+                np.multiply(diff, diff, out=diff)
+                dist += diff
+            np.sqrt(dist, out=dist)
+            valid = dist <= delta
+            unsure = (dist >= unsure_lo) & ((dist <= unsure_hi) | (dist == np.inf))
+            for f in np.flatnonzero(unsure).tolist():
+                r, c = divmod(f, w)
+                valid[r, c] = math.dist(pa[r0 + r].tolist(), pb[cols[c]].tolist()) <= delta
+            f = np.flatnonzero(valid)
+            if w < n2:  # the block's column c is B's column cols[c]
+                r, c = np.divmod(f, w)
+                f = r * n2 + cols[c]
+            found.append((f + r0 * n2).astype(CELL_INDEX))
+    return np.concatenate(found)
 
 
-def _pair_kernel(valid: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """The prefix-maximum DP over the (|A|, |B|) validity matrix.
+def _pair_kernel(cells: np.ndarray, n1: int, n2: int) -> tuple[int, int, np.ndarray]:
+    """The prefix-maximum DP over the valid cells of an (n1, n2) grid,
+    given as ascending flat indices i * n2 + j (those of _valid_cells).
 
     The three predecessor scans collapse into running maxima.  box_val[t]
     is the best value over the rows above and the columns left of t, with
@@ -357,7 +402,7 @@ def _pair_kernel(valid: np.ndarray) -> tuple[int, int, np.ndarray]:
     the previous valid cell of the row (values increase strictly along the
     valid cells of a row or column, so that cell is the unique maximum).
     A row without a valid cell changes neither the running maxima nor the
-    best, so only the rows holding one are visited.
+    best, so only the row groups of the list are visited.
 
     The running maximum never decreases along the columns: box_val[t + 1]
     covers every cell box_val[t] covers.  So when a row holds one valid
@@ -365,72 +410,85 @@ def _pair_kernel(valid: np.ndarray) -> tuple[int, int, np.ndarray]:
     are one run starting at j, found by a binary search of box_val[j + 1:].
     Such a row reads box_val[j] and box_val[j + 1] as scalars, picks x and
     the predecessor with the vector pass's rule and tie order, and writes
-    that run: O(log |B|) steps after finding the cell, against the vector
-    pass's O(|B|) array operations, which rows with more cells still take.
+    that run: O(log n2) steps, against the vector pass's O(n2) array
+    operations from the row's first cell on, which rows with more cells
+    still take.
 
-    Returns the best value, its first cell as a flat index i * |B| + j (-1
-    when no cell is valid) and the flat predecessor table.
+    Cells are named by their position in the list.  Returns the best value,
+    the position of its first cell (-1 when no cell is valid) and pred,
+    which holds per valid cell the position of the step before it on its
+    optimal walk, -1 where that walk starts.
     """
-    n1, n2 = valid.shape
-    # pred[i, j]: flat index k * n2 + l of the step before (i, j) on the
-    # cell's optimal walk; -1 where that walk starts
-    pred = np.full((n1, n2), -1, dtype=np.int64)
-
+    pred = np.full(cells.size, -1, dtype=CELL_INDEX)
     box_val = np.full(n2 + 1, NEG)  # box_val[t]: max over rows < i, cols < t
-    box_arg = np.full(n2 + 1, -1, dtype=np.int64)  # and its first cell
+    box_arg = np.full(n2 + 1, -1, dtype=CELL_INDEX)  # and its first cell
     # views of box_*[j + 1], so reading them costs no index arithmetic
     incl_val, incl_arg = box_val[1:], box_arg[1:]
-    row = np.empty(n2)
+    row = np.empty(n2)  # the row's values, then their running maximum
+    held = np.empty(n2, dtype=CELL_INDEX)  # the row's last cell at or left
     cols = np.arange(n2)
+    # row i's cells are cells[starts[i]:starts[i + 1]]
+    starts = np.searchsorted(cells, np.arange(n1 + 1, dtype=CELL_INDEX) * n2)
+    rows = np.flatnonzero(starts[1:] != starts[:-1]).tolist()
+    starts = starts.tolist()
 
     best_val = 0
     best = -1
 
-    for i in np.flatnonzero(valid.any(axis=1)).tolist():
-        vc = np.flatnonzero(valid[i])
-        if vc.size == 1:
-            j = int(vc[0])
+    for i in rows:
+        s, e = starts[i], starts[i + 1]
+        if e - s == 1:
+            j = int(cells[s]) - i * n2
             lo, hi = box_val[j : j + 2].tolist()
             both, up = lo + 2.0, hi + 1.0
             x = max(2.0, both, up)
-            pred[i, j] = box_arg[j] if both == x else incl_arg[j] if up == x else -1
-            flat = i * n2 + j
+            pred[s] = box_arg[j] if both == x else incl_arg[j] if up == x else -1
             if x > best_val:
-                best_val, best = int(x), flat
+                best_val, best = int(x), s
             end = j + int(np.searchsorted(incl_val[j:], x))
             incl_val[j:end] = x
-            incl_arg[j:end] = flat
+            incl_arg[j:end] = s
             continue
+        vc = np.subtract(cells[s:e], i * n2, dtype=np.intp)
         both = box_val[vc] + 2.0
         up = incl_val[vc] + 1.0
         base = np.maximum(2.0, np.maximum(both, up))
         pos = cols[: vc.size]
         x = pos + np.maximum.accumulate(base - pos)
-        flat = i * n2 + vc
-        pred[i, vc] = np.where(
-            x > base, np.concatenate(([-1], flat[:-1])),
+        at = np.arange(s, e)
+        pred[s:e] = np.where(
+            x > base, at - 1,
             np.where(both == x, box_arg[vc], np.where(up == x, incl_arg[vc], -1)),
         )
         if x[-1] > best_val:
-            best_val, best = int(x[-1]), int(flat[-1])
+            best_val, best = int(x[-1]), e - 1
 
-        row.fill(NEG)
+        # columns left of the row's first cell keep their running maxima
+        j0 = int(vc[0])
+        prefix, last = row[j0:], held[j0:]
+        prefix.fill(NEG)
         row[vc] = x
-        prefix = np.maximum.accumulate(row)
-        last = np.maximum.accumulate(np.where(valid[i], cols, -1))
-        better = prefix > incl_val
-        incl_val[better] = prefix[better]
-        incl_arg[better] = i * n2 + last[better]
+        np.maximum.accumulate(prefix, out=prefix)
+        last.fill(-1)
+        held[vc] = at
+        np.maximum.accumulate(last, out=last)
+        better = prefix > incl_val[j0:]
+        incl_val[j0:][better] = prefix[better]
+        incl_arg[j0:][better] = last[better]
     return best_val, best, pred
 
 
 def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
     """Same contract and tie-breaking as plsa_static_pair in O(|A| |B|).
 
-    _pair_kernel fills the DP over the validity matrix of _within_delta,
-    and the walk is read back from its predecessor table.  Values, walks
-    and ties agree with the reference exactly.  More than PAIR_CELL_LIMIT
-    cells raise TooLarge before any allocation.
+    _valid_cells lists the cells within delta, computing distances only
+    for the candidates in an x band of each vertex of A, and _pair_kernel
+    fills the DP over that list; the walk is read back one step at a time
+    from its per-cell predecessors.  Values, walks and ties agree with the
+    reference exactly.  Time and memory follow the candidate and valid
+    cells, so a sparse 3000 x 3000 input peaks near 1 MB; with every cell
+    valid they are still O(|A| |B|).  More than PAIR_CELL_LIMIT cells
+    raise TooLarge before any allocation.
     """
     check_threshold(delta)
     n1, n2 = len(a), len(b)
@@ -438,14 +496,15 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
         raise TooLarge(
             f"{n1 * n2} cells ({n1} x {n2}) exceed the pair limit of {PAIR_CELL_LIMIT}"
         )
-    best_val, best, pred = _pair_kernel(_within_delta(a.as_array(), b.as_array(), delta))
+    cells = _valid_cells(a.as_array(), b.as_array(), delta)
+    best_val, best, pred = _pair_kernel(cells, n1, n2)
     if best < 0:
         return _empty_result(2)
     steps: list[tuple[int, ...]] = []
     while best >= 0:
-        i, j = divmod(best, n2)
+        i, j = divmod(int(cells[best]), n2)
         steps.append((i + 1, j + 1))
-        best = int(pred.flat[best])
+        best = int(pred[best])
     return _finish(steps, best_val, (a, b), delta)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateTriple, IncompatibleTriple, TooLarge, check_threshold
 from .frechet import PAIR_CELL_LIMIT
 from .geometry import Chain3D, RigidMotion, apply_motion, motion_from_triples, move_array
-from .plsa import AlignmentResult, _pair_kernel, _within_delta, plsa_static_pair_fast
+from .plsa import AlignmentResult, _pair_kernel, _valid_cells, plsa_static_pair_fast
 
 __all__ = [
     "SearchConfig",
@@ -192,7 +192,8 @@ def plsa_rigid_pair(
         return best_motion, best
     pa, pb = a.as_array(), b.as_array()
     for motion in enumerate_candidate_motions(a, b, delta, config):
-        value = _pair_kernel(_within_delta(pa, move_array(motion, pb), delta))[0]
+        cells = _valid_cells(pa, move_array(motion, pb), delta)
+        value = _pair_kernel(cells, len(a), len(b))[0]
         if value > best.value:
             best_motion, best = motion, plsa_static_pair_fast(a, apply_motion(motion, b), delta)
             if best.value == ceiling:

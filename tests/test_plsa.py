@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -155,6 +156,16 @@ def test_fast_equals_reference_with_single_cell_rows():
     ((1e200, 0.0, 0.0), (-1e200, 0.0, 0.0), 2e200, 2),
     # numpy's square underflows to 0, math.dist does not
     ((1e-300, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0),
+    # the x gap is exactly delta, at the end of the candidate band
+    ((1e6 + 0.25, 0.0, 0.0), (1e6 + 0.75, 0.0, 0.0), 0.5, 2),
+    # and one ulp above it
+    ((1e6 + 0.25, 0.0, 0.0), (1e6 + 0.75, 0.0, 0.0), math.nextafter(0.5, 0.0), 0),
+    # the rounded x gap is delta, but a_x + delta rounds below b_x
+    ((-0.9088184001853248, 0.0, 0.0), (0.0025935401432800767, 0.0, 0.0),
+     0.9114119403286048, 2),
+    # the x gap overflows to inf, and so do the band's ends
+    ((1.5e308, 0.0, 0.0), (-1.5e308, 0.0, 0.0), 1.5e308, 0),
+    ((1.5e308, 0.0, 0.0), (-1.5e308, 0.0, 0.0), sys.float_info.max, 0),
 ])
 def test_fast_equals_reference_at_the_threshold(p, q, delta, value):
     a, b = chain_from_coords("a", [p]), chain_from_coords("b", [q])
@@ -392,6 +403,20 @@ def test_fast_pair_memory_per_cell():
         tracemalloc.stop()
     assert result.value == 1200  # every cell is valid
     assert peak <= 20 * 600 * 600
+
+
+def test_fast_pair_memory_on_sparse_chains():
+    # each vertex of A is within delta of one vertex of B, at the same index
+    a = chain_from_coords("a", [(float(i), 0, 0) for i in range(3000)])
+    b = chain_from_coords("b", [(i + 0.25, 0.5, 0) for i in range(3000)])
+    tracemalloc.start()
+    try:
+        result = plsa_static_pair_fast(a, b, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == 6000
+    assert peak <= 2_000_000  # a table over all 9 000 000 cells needs over 100 MB
 
 
 def test_multi_memory_on_dense_chains():

@@ -2,23 +2,27 @@
 
 plsa_static_pair_fast must return the value, walk, subsequences and common
 chain of plsa_static_pair exactly, and plsa_static_multi those of the scan
-of every componentwise smaller index tuple.  Thresholds are drawn from the
-chains' own vertex distances, where numpy's distance matrix and math.dist
-can round to different sides of delta, and where ties between walks are
-most common.
+of every componentwise smaller index tuple.  The pair DP's cell finder must
+list exactly the cells a double loop over math.dist finds.  Thresholds are
+drawn from the chains' own vertex distances, where numpy's distances and
+math.dist can round to different sides of delta, and where ties between
+walks are most common.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainalign import plsa
 from chainalign.geometry import chain_from_coords
 from chainalign.plsa import (
     _empty_result,
     _finish,
+    _valid_cells,
     plsa_static_multi,
     plsa_static_pair,
     plsa_static_pair_fast,
@@ -66,6 +70,39 @@ def test_fast_equals_reference_on_grid_chains(a, b, data):
 @given(chains(real_coord, max_size=1), chains(real_coord, max_size=1), st.data())
 def test_fast_equals_reference_on_one_vertex_chains(a, b, data):
     assert_fast_equals_reference(a, b, data)
+
+
+# coordinates near 1e200, whose squared differences overflow
+huge_coord = st.sampled_from([0.0, 1.0]) | st.floats(1e199, 2e200) | st.floats(-2e200, -1e199)
+
+
+@pytest.mark.parametrize("x, yz", [
+    (grid_coord, grid_coord),
+    (real_coord, real_coord),
+    # every vertex shares one x coordinate, so every cell is a candidate
+    (st.just(0.5), real_coord),
+    (huge_coord, huge_coord),
+], ids=["grid", "continuous", "one-x", "huge"])
+@fixed_examples
+@given(data=st.data())
+def test_valid_cells_equal_a_double_loop(x, yz, data):
+    pts = st.lists(st.tuples(x, yz, yz), min_size=1, max_size=12)
+    a, b = (chain_from_coords("c", data.draw(pts)) for _ in range(2))
+    i = data.draw(st.integers(0, len(a) - 1))
+    j = data.draw(st.integers(0, len(b) - 1))
+    gap = math.dist(a.points[i], b.points[j])
+    delta = data.draw(
+        st.sampled_from([0.0, gap, math.nextafter(gap, 0.0)]) | st.floats(0.0, 1e300)
+    )
+    # small blocks split A's rows and take part of B per block
+    block = data.draw(st.sampled_from([1, 5, 24, plsa.BLOCK_CELLS]))
+    with mock.patch.object(plsa, "BLOCK_CELLS", block):
+        cells = _valid_cells(a.as_array(), b.as_array(), delta)
+    assert cells.tolist() == [
+        i * len(b) + j
+        for i, p in enumerate(a.points) for j, q in enumerate(b.points)
+        if math.dist(p, q) <= delta
+    ]
 
 
 def oracle_static_multi(chains, delta):
