@@ -18,14 +18,14 @@ effect.  Three or four chains run the multi-chain DP,
 one table and O((2^m + m) N) work for m chains of N index tuples, which
 refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).  dfd
 refuses more than PAIR_CELL_LIMIT cells, and plsa-rigid --mode triples a
-chain whose edge table would (over 5000 vertices), both with exit 3.
+chain of more than 5000 vertices, both with exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import json
 import math
 import sys
 import time
@@ -58,6 +58,7 @@ from .report import (
     RunReport,
     emit_alignment_svg,
     emit_report,
+    json_text,
     parse_report,
     report_chains,
     report_walk,
@@ -192,7 +193,7 @@ def _cmd_gen_hard(args) -> int:
         "chains": entries,
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    (out / "manifest.json").write_text(json_text(manifest) + "\n", encoding="utf-8")
     print(str(out / "manifest.json"))
     return 0
 
@@ -234,7 +235,7 @@ def _cmd_verify(args) -> int:
         payload["equivalence"] = None
     payload["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         props = payload["properties"]
         print(f"vertices: {graph.n_vertices}, chains: {len(inst.chains)}")
@@ -262,7 +263,7 @@ def _cmd_mis(args) -> int:
             "vertices": list(witness),
             "elapsed_ms": ms,
         }
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(f"value: {k}")
         print("vertices: " + " ".join(map(str, witness)))
@@ -348,10 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call: parsing leaves a parser as it was,
+# so one serves every call in the process
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -4,12 +4,23 @@ Reports serialize to JSON with repr-exact floats, so a report read back
 reproduces the value and every index list exactly.  The renderer projects
 the chains onto their two directions of largest spread and draws each chain
 as a polyline with one dashed match line per coupled pair of vertices.
+
+Every JSON document the package writes goes through json_text, whose text
+is json.dumps(obj, indent=2)'s byte for byte.  The standard library runs its
+C encoder only without an indent, so json_text walks dicts and lists in
+Python and hands each list of numbers, and each list of non-empty lists of
+numbers (coordinates, walk steps, subsequences, rotation rows), to that C
+encoder in one compact call; it then puts back the newlines and the indent
+with str.replace, which is safe because number tokens hold no ",", "[" or
+"]".  Strings, dicts and every other list go item by item.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 from xml.sax.saxutils import escape
 
@@ -21,6 +32,7 @@ from .geometry import Chain3D, Point3, RigidMotion
 __all__ = [
     "RunReport",
     "emit_report",
+    "json_text",
     "parse_report",
     "report_chains",
     "report_walk",
@@ -81,7 +93,7 @@ class RunReport:
 def emit_report(report: RunReport, fmt: str = "json") -> str:
     """Render a report as JSON or as compact human-readable text."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
+        return json_text(report.to_dict()) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"command: {report.command}"]
@@ -105,6 +117,64 @@ def emit_report(report: RunReport, fmt: str = "json") -> str:
         lines.append(f"seed: {report.seed}")
     lines.append(f"elapsed_ms: {report.elapsed_ms!r}")
     return "\n".join(lines) + "\n"
+
+
+# the C encoder (no indent), for numbers and lists of numbers
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_NUMBERS = {int, float}
+_SEQUENCES = {list, tuple}
+
+
+def json_text(obj) -> str:
+    """The text of json.dumps(obj, indent=2), byte for byte, for any JSON
+    value (dict keys are strings; another key raises TypeError)."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    # nl is a newline plus the indent of the line obj starts on; the type
+    # tests are json's isinstance tests
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds <= _NUMBERS:
+            out.append("[" + inner + _compact(obj)[1:-1].replace(",", "," + inner) + nl + "]")
+        elif (kinds <= _SEQUENCES and all(obj)
+              and set(map(type, chain.from_iterable(obj))) <= _NUMBERS):
+            # non-empty lists of numbers, "[[1,2],[3]]": every comma gets the
+            # items' indent, then those between the lists their brackets'
+            # indent
+            items = inner + "  "
+            body = _compact(obj)[2:-2].replace(",", "," + items)
+            body = body.replace("]," + items + "[", inner + "]," + inner + "[" + items)
+            out.append("[" + inner + "[" + items + body + inner + "]" + nl + "]")
+        else:
+            out.append("[")
+            for k, item in enumerate(obj):
+                out.append("," + inner if k else inner)
+                _write(item, inner, out)
+            out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{")
+        for k, (key, value) in enumerate(obj.items()):
+            out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+        out.append(nl + "}")
+    else:
+        # None, bools, ints and floats (NaN and the infinities as json
+        # spells them); any other type raises json's TypeError
+        out.append(_compact(obj))
 
 
 def parse_report(text: str) -> dict:

@@ -96,12 +96,14 @@ def enumerate_candidate_motions(
     onto the a-triple.  Random mode yields rotations drawn uniformly with a
     translation matching a random b-vertex to a random a-vertex.
 
-    The triples scan reads the math.dist edge lengths of each chain from an
-    (n, n) table and tests all b-triples of one a-triple with numpy, so its
-    memory is O(len(a)**2 + len(b)**2) and the stream is the one a pair-by-
+    The triples scan computes a's math.dist edge lengths as it reads them
+    and keeps b's, the same floats, in one array of its edges j < k.  It
+    tests all b-triples of one a-triple with numpy, in buffers it allocates
+    once, so its memory is O(len(b)**2) and the stream is the one a pair-by-
     pair loop over both lexicographic triple lists would produce.  With a
-    chain of fewer than 3 vertices it yields nothing and builds no table; a
-    table over PAIR_CELL_LIMIT cells raises TooLarge before it is built.
+    chain of fewer than 3 vertices it yields nothing and allocates nothing;
+    a chain of n vertices with n * n over PAIR_CELL_LIMIT raises TooLarge
+    before anything is allocated.
 
     The stream is deterministic for a fixed (a, b, delta, config).
     """
@@ -123,27 +125,42 @@ def enumerate_candidate_motions(
     pa, pb = a.points, b.points
     if min(len(pa), len(pb)) < 3:
         return
-    ea, eb = _edge_table(pa), _edge_table(pb)
+    for n in (len(pa), len(pb)):
+        if n * n > PAIR_CELL_LIMIT:
+            raise TooLarge(f"{n} vertices give {n * n} vertex pairs, over {PAIR_CELL_LIMIT}")
     upper = np.triu(np.ones((len(pb), len(pb)), dtype=bool), 1)
+    # the b-edges (j < k) in row-major order, and near()'s buffers: one
+    # difference and one test over those edges, and one (n, n) mask per test
+    # that is live at once, False below the diagonal; a call allocates nothing
+    eb = _edge_lengths(pb)
+    diff = np.empty_like(eb)
+    hit = np.empty(eb.shape, dtype=bool)
+    first, near02, near12 = (np.zeros_like(upper) for _ in range(3))
 
-    def near(x: float) -> np.ndarray:
+    def near(x: float, out: np.ndarray) -> np.ndarray:
         # b-edges (j < k) not farther than tol from x, with the floats of the
         # pair loop's abs(x - y) > tol (negating a difference is exact); a
         # NaN difference (inf - inf) is not "far" there either
         with np.errstate(invalid="ignore"):
-            return ~(np.abs(eb - x) > tol) & upper
+            np.subtract(eb, x, out=diff)
+        np.abs(diff, out=diff)
+        np.greater(diff, tol, out=hit)
+        np.logical_not(hit, out=hit)
+        out[upper] = hit
+        return out
 
     produced = 0
     # a-triples (i0, i1, i2) in lexicographic order; the b-pairs (j0, j1)
     # that match the first edge are shared by every i2
     for i0, i1 in itertools.combinations(range(len(pa)), 2):
-        j0, j1 = np.nonzero(near(ea[i0, i1]))
+        j0, j1 = np.nonzero(near(math.dist(pa[i0], pa[i1]), first))
         if not len(j0):
             continue
         for i2 in range(i1 + 1, len(pa)):
-            near02, near12 = near(ea[i0, i2]), near(ea[i1, i2])
+            near(math.dist(pa[i0], pa[i2]), near02)
+            near(math.dist(pa[i1], pa[i2]), near12)
             dst = (pa[i0], pa[i1], pa[i2])
-            # len(pb) b-pairs at a time, so a block is no larger than a table
+            # len(pb) b-pairs at a time, so a block is no larger than a mask
             for s in range(0, len(j0), len(pb)):
                 b0, b1 = j0[s:s + len(pb)], j1[s:s + len(pb)]
                 rows, j2 = np.nonzero(near02[b0] & near12[b1])
@@ -160,16 +177,16 @@ def enumerate_candidate_motions(
                         return
 
 
-def _edge_table(points: tuple) -> np.ndarray:
-    """(n, n) table of math.dist(points[i], points[j]) for i < j, 0 elsewhere,
-    filled one row at a time."""
+def _edge_lengths(points: tuple) -> np.ndarray:
+    """math.dist(points[j], points[k]) for every j < k, in row-major order
+    (the order of an (n, n) table's upper triangle), one row at a time."""
     n = len(points)
-    if n * n > PAIR_CELL_LIMIT:
-        raise TooLarge(f"{n} vertices need {n * n} edge-table cells, over {PAIR_CELL_LIMIT}")
-    table = np.zeros((n, n))
-    for i, p in enumerate(points):
-        table[i, i + 1:] = [math.dist(p, q) for q in points[i + 1:]]
-    return table
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for j, p in enumerate(points):
+        out[start:start + n - 1 - j] = [math.dist(p, q) for q in points[j + 1:]]
+        start += n - 1 - j
+    return out
 
 
 def plsa_rigid_pair(

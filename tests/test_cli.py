@@ -1,12 +1,14 @@
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from chainalign.chainio import parse_chain_file
-from chainalign.cli import main
+from chainalign import cli
+from chainalign.cli import build_parser, main
 from chainalign.plsa import MULTI_STATE_LIMIT, PAIR_CELL_LIMIT, plsa_static_pair
 from chainalign.reduction import build_reduction, Graph
 
@@ -137,6 +139,32 @@ def test_verify_reduction_output(tmp_path, capsys):
     assert "equivalence: k=3 vertices 1 3 5" in text
 
 
+def assert_json_dumps_text(text):
+    # the text json.dumps(payload, indent=2) gives for the payload it holds
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_verify_reduction_json_is_json_dumps_text(tmp_path, capsys):
+    fg = write(tmp_path / "g.graph", FIVE_VERTEX_GRAPH)
+    assert main(["verify-reduction", fg, "--format", "json"]) == 0
+    assert_json_dumps_text(capsys.readouterr().out)
+
+
+def test_mis_json_is_json_dumps_text(tmp_path, capsys):
+    fg = write(tmp_path / "g.graph", FIVE_VERTEX_GRAPH)
+    assert main(["mis", fg, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["vertices"] == [1, 3, 5]
+    assert_json_dumps_text(out)
+
+
+def test_gen_hard_manifest_is_json_dumps_text(tmp_path, capsys):
+    fg = write(tmp_path / "g.graph", FIVE_VERTEX_GRAPH)
+    assert main(["gen-hard", fg, "--out", str(tmp_path / "inst")]) == 0
+    capsys.readouterr()
+    assert_json_dumps_text((tmp_path / "inst" / "manifest.json").read_text(encoding="utf-8"))
+
+
 def test_mis_text_output(tmp_path, capsys):
     fg = write(tmp_path / "g.graph", FIVE_VERTEX_GRAPH)
     assert main(["mis", fg]) == 0
@@ -178,6 +206,36 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert main(["plsa", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    fa = write(tmp_path / "a.chain", chain_text([(0, 0, 0), (1, 0.5, 0), (2, 0, 0)]))
+    fb = write(tmp_path / "b.chain", chain_text([(0, 1, 0), (2, 1, 0)]))
+    fg = write(tmp_path / "g.graph", FIVE_VERTEX_GRAPH)
+    calls = (
+        ["plsa", fa, fb],  # --delta is missing: a usage error
+        ["--help"],
+        ["plsa", fa, fb, "--delta", "1.2", "--format", "json"],
+        ["verify-reduction", fg, "--format", "json"],
+    )
+
+    def run_all():
+        runs = []
+        for argv in calls:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, re.sub(r'"elapsed_ms": .*', "", out), err))
+        return runs
+
+    cli._main_parser.cache_clear()
+    shared = run_all()
+    assert cli._main_parser.cache_info().misses == 1
+    assert cli._main_parser() is cli._main_parser()
+    assert build_parser() is not build_parser()
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+    assert "required: --delta" in shared[0][2]
+    monkeypatch.setattr(cli, "_main_parser", build_parser)  # a fresh parser per call
+    assert run_all() == shared
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from chainalign.report import (
     RunReport,
     emit_alignment_svg,
     emit_report,
+    json_text,
     parse_report,
     report_chains,
     report_walk,
@@ -110,6 +111,46 @@ def test_json_round_trip_is_exact(report):
         assert RigidMotion(
             tuple(map(tuple, data["motion"]["rotation"])), tuple(data["motion"]["translation"])
         ) == report.motion
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(run_reports())
+def test_json_report_is_json_dumps_text(report):
+    assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+numbers = st.integers() | st.floats() | st.sampled_from([
+    -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf, math.nan,
+    2**63, -2**63 - 1, 2**64 + 1, 10**40,
+])
+json_strings = st.text(max_size=8) | st.text(',[]"\\\u00e9\u2028\x00 ', max_size=6)
+
+
+def number_lists(items):
+    return st.lists(items, max_size=4) | st.lists(items, max_size=4).map(tuple)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | json_strings
+    # the shapes the writer hands to the C encoder whole, and their near
+    # misses: empty inner lists, strings or bools among the numbers
+    | number_lists(numbers) | number_lists(number_lists(numbers))
+    | number_lists(number_lists(numbers | json_strings | st.booleans())),
+    lambda kids: number_lists(kids) | st.dictionaries(json_strings, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_values)
+@example([[], [1]])
+@example([[1], []])
+@example([["a,b"], [1]])
+@example(["]", 1.5])
+@example([[1, 2], [3.5, -0.0]])
+@example({"": (), "k": [{}], "[1,2]": [[1, 2]]})
+def test_json_text_is_json_dumps_text(value):
+    assert json_text(value) == json.dumps(value, indent=2)
 
 
 def test_optional_fields_are_omitted():

@@ -337,6 +337,23 @@ def test_first_triples_candidate_needs_little_memory():
     assert peak <= 8_000_000
 
 
+def test_triples_scan_allocates_no_table_sized_temporaries():
+    # the b table of edges j < k (4 MB) and near()'s buffers stay, nothing
+    # table-sized is allocated per test: 19.0 MB traced, against 35.0 MB
+    # when every test built |B| x |B| temporaries beside both chains' (n, n)
+    # tables
+    rng = random.Random(137)
+    a = rand_chain(rng, "a", 1000)
+    b = rand_chain(rng, "b", 1000)
+    tracemalloc.start()
+    try:
+        next(enumerate_candidate_motions(a, b, 0.5, SearchConfig(mode="triples")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24_000_000
+
+
 def test_edge_table_over_the_cell_limit_raises_before_it_is_built():
     wide = chain_from_coords("wide", [(float(i), 0, 0) for i in range(5001)])
     tri = chain_from_coords("tri", [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
