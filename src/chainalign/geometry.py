@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,8 @@ ORTHONORMAL_TOL = 1e-9
 DEGENERATE_AREA_TOL = 1e-9
 
 Vec3 = tuple[float, float, float]
+
+_EYE3 = np.eye(3)
 
 
 class Point3(tuple):
@@ -116,15 +119,17 @@ class RigidMotion:
         t = np.asarray(self.translation, dtype=float)
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")
-        if not np.all(np.isfinite(r)) or not np.all(np.isfinite(t)):
+        # stored as plain nested tuples so instances hash/compare cleanly;
+        # tolist() gives the floats float(v) would
+        rotation, translation = tuple(map(tuple, r.tolist())), tuple(t.tolist())
+        if not all(map(math.isfinite, itertools.chain(*rotation, translation))):
             raise ValueError("rigid motion components must be finite")
-        if np.max(np.abs(r @ r.T - np.eye(3))) > ORTHONORMAL_TOL:
+        if np.abs(r @ r.T - _EYE3).max() > ORTHONORMAL_TOL:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
             raise ValueError("rotation determinant is not +1 (improper motion)")
-        # normalize storage to plain nested tuples so instances hash/compare cleanly
-        object.__setattr__(self, "rotation", tuple(tuple(float(v) for v in row) for row in r))
-        object.__setattr__(self, "translation", tuple(float(v) for v in t))
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
 
     @staticmethod
     def identity() -> "RigidMotion":

@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 MODES = ("triples", "random")
+# cells scored per _valid_cells call: plsa_rigid_pair moves
+# SCORE_CELLS // (|a| |b|) candidates' copies of b at a time; at most
+# PAIR_CELL_LIMIT, so the flat cell indices fit CELL_INDEX
+SCORE_CELLS = 1 << 20
+# and at most SCORE_MOTIONS candidates, which bounds the motions held and,
+# when a candidate reaches the ceiling, those superposed for nothing
+SCORE_MOTIONS = 128
 
 
 @dataclass(frozen=True)
@@ -160,21 +167,25 @@ def enumerate_candidate_motions(
             near(math.dist(pa[i0], pa[i2]), near02)
             near(math.dist(pa[i1], pa[i2]), near12)
             dst = (pa[i0], pa[i1], pa[i2])
-            # len(pb) b-pairs at a time, so a block is no larger than a mask
+            # len(pb) b-pairs at a time, so a block is no larger than a mask,
+            # and its hits made Python ints len(pb) at a time, so a budget
+            # stop converts only the slice it reads
             for s in range(0, len(j0), len(pb)):
                 b0, b1 = j0[s:s + len(pb)], j1[s:s + len(pb)]
                 rows, j2 = np.nonzero(near02[b0] & near12[b1])
-                for k0, k1, k2 in zip(b0[rows].tolist(), b1[rows].tolist(), j2.tolist()):
-                    try:
-                        motion = motion_from_triples(
-                            (pb[k0], pb[k1], pb[k2]), dst, tolerance=tol
-                        )
-                    except (DegenerateTriple, IncompatibleTriple):
-                        continue
-                    produced += 1
-                    yield motion
-                    if produced >= config.budget:
-                        return
+                for h in range(0, len(rows), len(pb)):
+                    r, c = rows[h:h + len(pb)], j2[h:h + len(pb)]
+                    for k0, k1, k2 in zip(b0[r].tolist(), b1[r].tolist(), c.tolist()):
+                        try:
+                            motion = motion_from_triples(
+                                (pb[k0], pb[k1], pb[k2]), dst, tolerance=tol
+                            )
+                        except (DegenerateTriple, IncompatibleTriple):
+                            continue
+                        produced += 1
+                        yield motion
+                        if produced >= config.budget:
+                            return
 
 
 def _edge_lengths(points: tuple) -> np.ndarray:
@@ -194,25 +205,66 @@ def plsa_rigid_pair(
 ) -> tuple[RigidMotion, AlignmentResult]:
     """Best (motion, alignment) over the identity plus the candidate stream.
 
-    Each candidate moves b's coordinate array and is scored with the value
-    of the static pair alignment of (a, moved b); strictly larger values
-    replace the incumbent, so ties keep the earliest candidate and the
-    identity is the floor.  Only a new incumbent is moved with apply_motion,
-    whose floats are the scored ones, and aligned in full.  Stops early when
-    a candidate aligns every vertex of both chains.  The returned alignment
-    indexes the original chains; its polylines refer to b after the motion.
+    Each candidate is scored with the value of the static pair alignment of
+    (a, moved b); strictly larger values replace the incumbent, so ties keep
+    the earliest candidate and the identity is the floor.  Only a new
+    incumbent is moved with apply_motion, whose floats are the scored ones,
+    and aligned in full.  Stops early when a candidate aligns every vertex
+    of both chains.  The returned alignment indexes the original chains; its
+    polylines refer to b after the motion.
+
+    Candidates are scored in chunks of k motions taken from the stream in
+    order, k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  Each
+    motion moves b's array once with move_array, the k moved copies are put
+    side by side, and one _valid_cells call lists the cells of all of them;
+    a stable sort by candidate splits that list into each candidate's
+    ascending cells.  A walk through c valid cells uses at most 2c vertices,
+    so a candidate with 2c not above the incumbent's value cannot beat it
+    and skips the DP.  Stopping at the ceiling inside a chunk leaves the
+    rest of it superposed but unscored, at most SCORE_MOTIONS - 1 motions.
+    Two 100-vertex chains give chunks of 104, over which _valid_cells' two
+    distance buffers take their full BLOCK_CELLS size, about 1 MB.
     """
     ceiling = len(a) + len(b)
     best_motion = RigidMotion.identity()
     best = plsa_static_pair_fast(a, b, delta)
     if best.value == ceiling:
         return best_motion, best
+    n1, n2 = len(a), len(b)
     pa, pb = a.as_array(), b.as_array()
-    for motion in enumerate_candidate_motions(a, b, delta, config):
-        cells = _valid_cells(pa, move_array(motion, pb), delta)
-        value = _pair_kernel(cells, len(a), len(b))[0]
-        if value > best.value:
-            best_motion, best = motion, plsa_static_pair_fast(a, apply_motion(motion, b), delta)
-            if best.value == ceiling:
-                break
+    k = max(1, min(SCORE_MOTIONS, SCORE_CELLS // (n1 * n2)))
+    stream = enumerate_candidate_motions(a, b, delta, config)
+    while chunk := list(itertools.islice(stream, k)):
+        cells, bounds = _chunk_cells(pa, pb, chunk, delta)
+        for c, motion in enumerate(chunk):
+            s, e = bounds[c], bounds[c + 1]
+            if 2 * (e - s) <= best.value:
+                continue
+            if _pair_kernel(cells[s:e], n1, n2)[0] > best.value:
+                best_motion = motion
+                best = plsa_static_pair_fast(a, apply_motion(motion, b), delta)
+                if best.value == ceiling:
+                    return best_motion, best
     return best_motion, best
+
+
+def _chunk_cells(
+    pa: np.ndarray, pb: np.ndarray, motions: list[RigidMotion], delta: float
+) -> tuple[np.ndarray, list[int]]:
+    """The valid cells of (a, b moved by each motion), from one _valid_cells
+    call on the moved copies of b side by side.
+
+    Returns (cells, bounds): the c-th motion's cells, as the ascending flat
+    indices i * |b| + j that _valid_cells gives for that copy alone, are
+    cells[bounds[c]:bounds[c + 1]].
+    """
+    n2, k = len(pb), len(motions)
+    moved = np.concatenate([move_array(m, pb) for m in motions])
+    flat = _valid_cells(pa, moved, delta)
+    i, col = np.divmod(flat, k * n2)
+    cand, j = np.divmod(col, n2)
+    # a stable sort keeps each candidate's cells in their ascending order
+    order = np.argsort(cand, kind="stable")
+    cells = (i * n2 + j)[order]
+    bounds = np.searchsorted(cand[order], np.arange(k + 1)).tolist()
+    return cells, bounds

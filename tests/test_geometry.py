@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -151,11 +152,54 @@ def test_apply_motion_floats_equal_the_moved_array():
 
 def test_rigid_motion_validation():
     RigidMotion.identity()
-    with pytest.raises(ValueError):
-        RigidMotion(((1, 0, 0), (0, 1, 0), (0, 0, 2)), (0, 0, 0))  # not orthonormal
-    with pytest.raises(ValueError):
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rejected = [
+        (((1, 0, 0), (0, 1, 0)), (0, 0, 0), "rotation must be a 3x3 matrix"),
+        ((1, 0, 0), (0, 0, 0), "rotation must be a 3x3 matrix"),
+        (eye, (0, 0), "translation must be a 3-vector"),
+        (eye, ((0, 0, 0),), "translation must be a 3-vector"),
+        (((1, 0, 0), (0, math.nan, 0), (0, 0, 1)), (0, 0, 0), "components must be finite"),
+        (eye, (0, math.inf, 0), "components must be finite"),
+        (eye, (0, 0, -math.inf), "components must be finite"),
+        # a shape error is reported before a non-finite component
+        (((math.nan, 0, 0), (0, 1, 0)), (0, 0, 0), "rotation must be a 3x3 matrix"),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 2)), (0, 0, 0), "rotation is not orthonormal"),
+        (((1, 1e-8, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0), "rotation is not orthonormal"),
         # reflection: orthonormal but determinant -1
-        RigidMotion(((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, 0, 0))
+        (((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, 0, 0), r"determinant is not \+1"),
+        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0, 0, 0), r"determinant is not \+1"),
+    ]
+    for rotation, translation, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            RigidMotion(rotation, translation)
+    # within ORTHONORMAL_TOL of a rotation is accepted
+    RigidMotion(((1, 1e-10, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)), st.floats(0, 2 * math.pi),
+    st.tuples(*[st.integers(-10**6, 10**6)] * 3), st.tuples(*[st.floats(-1e300, 1e300)] * 3),
+    st.lists(st.sampled_from([float, np.float64]), min_size=12, max_size=12),
+)
+@example((0, 0, 1), 0.0, (1, -2, 3), (0.5, -0.0, 1e300), [float] * 12)
+def test_rigid_motion_stores_plain_floats(axis, angle, ints, floats, kinds):
+    # int, float and np.float64 components are stored as float(v), in
+    # nested tuples of plain floats; angle 0 gives the identity in ints
+    kinds = iter(kinds)
+    if angle:
+        rotation = tuple(tuple(next(kinds)(v) for v in row) for row in rodrigues(axis, angle))
+    else:
+        rotation = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for translation in (ints, tuple(next(kinds)(v) for v in floats)):
+        motion = RigidMotion(rotation, translation)
+        assert motion.rotation == tuple(tuple(float(v) for v in row) for row in rotation)
+        assert motion.translation == tuple(float(v) for v in translation)
+        stored = [*itertools.chain(*motion.rotation), *motion.translation]
+        inputs = [*itertools.chain(*rotation), *translation]
+        assert all(type(v) is float for v in stored)
+        # the signs of zeros too
+        assert [math.copysign(1, v) for v in stored] == [math.copysign(1, v) for v in inputs]
 
 
 def test_apply_motion_preserves_pairwise_distances():

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -19,9 +20,9 @@ from chainalign.errors import (
     TooLarge,
 )
 from chainalign.geometry import (
-    RigidMotion, apply_motion, chain_from_coords, dist, motion_from_triples,
+    RigidMotion, apply_motion, chain_from_coords, dist, motion_from_triples, move_array,
 )
-from chainalign.plsa import PAIR_CELL_LIMIT, plsa_static_pair_fast
+from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
 
 # fixed examples, so a run is reproducible and leaves no example database
@@ -231,6 +232,19 @@ def oracle_rigid_pair(a, b, delta, config):
     return best_motion, best
 
 
+def assert_search_equals_oracle(a, b, delta, config):
+    # the default chunks, one candidate per chunk (SCORE_CELLS of 1 and of
+    # |A| |B| cells), and chunks of 7, which budgets and ceiling stops end
+    # mid-chunk
+    expected = oracle_rigid_pair(a, b, delta, config)
+    assert plsa_rigid_pair(a, b, delta, config) == expected
+    cells = len(a) * len(b)
+    for score_cells in (1, cells, 7 * cells + 1):
+        with mock.patch.object(rigid, "SCORE_CELLS", score_cells):
+            assert plsa_rigid_pair(a, b, delta, config) == expected
+    return expected
+
+
 def protein_like_pair(rng, n):
     # a persistent random walk with 3.8 A steps, like a C-alpha trace, and
     # a noisy copy of it under a random rotation and shift
@@ -252,8 +266,7 @@ def protein_like_pair(rng, n):
 def test_search_equals_oracle_at_protein_scale():
     a, b = protein_like_pair(random.Random(131), 100)
     config = SearchConfig(mode="triples", budget=300)
-    motion, result = plsa_rigid_pair(a, b, 1.5, config)
-    assert (motion, result) == oracle_rigid_pair(a, b, 1.5, config)
+    motion, result = assert_search_equals_oracle(a, b, 1.5, config)
     # the search moved b: the scored candidates decided the result
     assert result.value > plsa_static_pair_fast(a, b, 1.5).value
 
@@ -270,13 +283,113 @@ search_configs = st.builds(
 @example(*planted_pair(random.Random(127), 6), 1e-6, SearchConfig("triples", 40))
 def test_search_equals_oracle_on_grid_chains(a, b, delta, config):
     # grid chains have many equal-valued candidates, of which the earliest wins
-    assert plsa_rigid_pair(a, b, delta, config) == oracle_rigid_pair(a, b, delta, config)
+    assert_search_equals_oracle(a, b, delta, config)
 
 
 @fixed_examples
 @given(chains(real_coord), chains(real_coord), st.floats(0.0, 8.0), search_configs)
 def test_search_equals_oracle_on_continuous_chains(a, b, delta, config):
-    assert plsa_rigid_pair(a, b, delta, config) == oracle_rigid_pair(a, b, delta, config)
+    assert_search_equals_oracle(a, b, delta, config)
+
+
+@contextlib.contextmanager
+def recorded_moves():
+    # the motions plsa_rigid_pair moves b's array by, in order
+    moved = []
+
+    def recorded(motion, arr):
+        moved.append(motion)
+        return move_array(motion, arr)
+
+    with mock.patch.object(rigid, "move_array", recorded):
+        yield moved
+
+
+def test_ceiling_stop_mid_chunk():
+    # a's first triple is collinear, so b's first triple is degenerate and,
+    # with no pruning, every other triple of b meets a's first triple with a
+    # wrong motion before the planted motion reaches the ceiling
+    rng = random.Random(139)
+    a = chain_from_coords(
+        "a", [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        + [(rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 8)) for _ in range(5)],
+    )
+    motion = RigidMotion(rodrigues((1, 2, 3), 1.0), (4.0, -3.0, 2.0))
+    b = chain_from_coords("b", [p.as_tuple() for p in apply_motion(motion, a).points])
+    delta, ceiling = 1e-6, len(a) + len(b)
+    config = SearchConfig(mode="triples", budget=10**6, prune_tolerance=1e9)
+    stream = list(enumerate_candidate_motions(a, b, delta, config))
+    values = [plsa_static_pair_fast(a, apply_motion(m, b), delta).value for m in stream]
+    p = values.index(ceiling)
+    assert p > 0 and len(stream) > p + 2
+    for k in (p + 2, p // 2 + 2):
+        assert 0 < p % k < k - 1  # the winner is neither first nor last of its chunk
+        with mock.patch.object(rigid, "SCORE_CELLS", k * len(a) * len(b)), \
+                recorded_moves() as moved:
+            found, result = plsa_rigid_pair(a, b, delta, config)
+        assert (found, result) == oracle_rigid_pair(a, b, delta, config)
+        assert found == stream[p] and result.value == ceiling
+        # the chunk holding the winner was moved, and nothing after it
+        assert moved == stream[:(p // k + 1) * k]
+
+
+def test_ceiling_stop_superposes_at_most_one_chunk_of_small_chains():
+    # one vertex each: the first random motion maps b's vertex onto a's and
+    # reaches the ceiling; SCORE_CELLS alone would allow chunks of 2**20
+    a = chain_from_coords("a", [(0.0, 0.0, 0.0)])
+    b = chain_from_coords("b", [(5.0, 5.0, 5.0)])
+    config = SearchConfig(mode="random", budget=10**4, seed=3)
+    with recorded_moves() as moved:
+        motion, result = plsa_rigid_pair(a, b, 0.5, config)
+    assert (motion, result) == oracle_rigid_pair(a, b, 0.5, config)
+    assert result.value == 2
+    assert len(moved) == rigid.SCORE_MOTIONS < config.budget
+    assert moved == list(enumerate_candidate_motions(a, b, 0.5, config))[:len(moved)]
+
+
+def seeded_kernel_inputs(test):
+    # the diagonal of a chain against itself gives exactly 2 |cells|
+    line = chain_from_coords("l", [(float(i), 0.0, 0.0) for i in range(6)])
+    return example(line, line, 0.5)(example(*seeded_chains(149, 9), 8.0)(test))
+
+
+@fixed_examples
+@given(
+    st.one_of(chains(grid_coord), chains(real_coord)),
+    st.one_of(chains(grid_coord), chains(real_coord)),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 8.0]),
+)
+@seeded_kernel_inputs
+def test_pair_value_is_at_most_twice_the_valid_cells(a, b, delta):
+    # the bound plsa_rigid_pair skips candidates by: a walk through c valid
+    # cells uses at most 2c vertices
+    cells = _valid_cells(a.as_array(), b.as_array(), delta)
+    value = _pair_kernel(cells, len(a), len(b))[0]
+    assert value <= 2 * cells.size
+    assert value == plsa_static_pair_fast(a, b, delta).value
+
+
+@fixed_examples
+@given(chains(grid_coord), chains(grid_coord), st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+       search_configs)
+@example(*planted_pair(random.Random(127), 6), 1e-6, SearchConfig("triples", 40))
+def test_no_dp_for_a_candidate_that_cannot_win(a, b, delta, config):
+    # the DP runs only for candidates with 2 |cells| above the incumbent's
+    # value, and the incumbent moves exactly on the DP's strict gains
+    values = []
+
+    def kernel(cells, n1, n2):
+        out = _pair_kernel(cells, n1, n2)
+        values.append((cells.size, out[0]))
+        return out
+
+    with mock.patch.object(rigid, "_pair_kernel", kernel):
+        _, result = plsa_rigid_pair(a, b, delta, config)
+    best = plsa_static_pair_fast(a, b, delta).value
+    for size, value in values:
+        assert 2 * size > best
+        best = max(best, value)
+    assert result.value == best
 
 
 def assert_scan_equals_oracle(a, b, data):
@@ -339,9 +452,10 @@ def test_first_triples_candidate_needs_little_memory():
 
 def test_triples_scan_allocates_no_table_sized_temporaries():
     # the b table of edges j < k (4 MB) and near()'s buffers stay, nothing
-    # table-sized is allocated per test: 19.0 MB traced, against 35.0 MB
-    # when every test built |B| x |B| temporaries beside both chains' (n, n)
-    # tables
+    # table-sized is allocated per test, and a block's hits become Python
+    # ints |B| at a time: 15.5 MB traced, against 19.0 MB when all 33 231
+    # hits of the first block were converted at once and 35.0 MB when every
+    # test built |B| x |B| temporaries beside both chains' (n, n) tables
     rng = random.Random(137)
     a = rand_chain(rng, "a", 1000)
     b = rand_chain(rng, "b", 1000)
@@ -351,7 +465,7 @@ def test_triples_scan_allocates_no_table_sized_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24_000_000
+    assert peak <= 17_000_000
 
 
 def test_edge_table_over_the_cell_limit_raises_before_it_is_built():
