@@ -39,8 +39,6 @@ from .errors import (
 from .frechet import (
     FrechetResult,
     PairedWalk,
-    brute_force_frechet,
-    brute_force_frechet_segments,
     discrete_frechet,
     frechet_decision,
     validate_paired_walk,
@@ -58,10 +56,7 @@ from .geometry import (
 from .plsa import (
     AlignmentResult,
     JointWalk,
-    plsa_oracle,
-    plsa_oracle_walks,
     plsa_static_multi,
-    plsa_static_pair,
     plsa_static_pair_fast,
     reconstruct_common_chain,
     star_compatible,
@@ -124,8 +119,6 @@ __all__ = [
     "TooLarge",
     "UnsupportedArity",
     "apply_motion",
-    "brute_force_frechet",
-    "brute_force_frechet_segments",
     "build_reduction",
     "chain_from_coords",
     "discrete_frechet",
@@ -143,11 +136,8 @@ __all__ = [
     "parse_graph_file",
     "parse_pdb_ca",
     "parse_report",
-    "plsa_oracle",
-    "plsa_oracle_walks",
     "plsa_rigid_pair",
     "plsa_static_multi",
-    "plsa_static_pair",
     "plsa_static_pair_fast",
     "prime_point",
     "reconstruct_common_chain",

@@ -18,7 +18,9 @@ effect.  Three or four chains run the multi-chain DP,
 one table and O((2^m + m) N) work for m chains of N index tuples, which
 refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).  dfd
 refuses more than PAIR_CELL_LIMIT cells, and plsa-rigid --mode triples a
-chain of more than 5000 vertices, both with exit 3.
+chain of more than 5000 vertices, both with exit 3.  These limits, and those
+of mis and verify-reduction, are all checked by errors.check_size.
+plsa-rigid --mode random without --seed draws a seed and reports it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import functools
 import hashlib
 import math
+import random
 import sys
 import time
 from pathlib import Path
@@ -39,7 +42,7 @@ from .chainio import (
     parse_pdb_ca,
     serialize_chain_document,
 )
-from .errors import InputError, InvariantError, PreconditionError, TooLarge
+from .errors import InputError, InvariantError, PreconditionError, check_size
 from .frechet import discrete_frechet
 from .geometry import Chain3D, apply_motion
 from .plsa import (
@@ -145,10 +148,14 @@ def _cmd_plsa(args) -> int:
 def _cmd_rigid(args) -> int:
     a, da = _load_chain(args.chain_a, args.pdb_chain)
     b, db = _load_chain(args.chain_b, args.pdb_chain)
+    seed = args.seed
+    if args.mode == "random" and seed is None:
+        # reported, so --seed replays the run; any JSON reader holds it exactly
+        seed = random.SystemRandom().randrange(2**53)
     config = SearchConfig(
         mode=args.mode,
         budget=args.budget,
-        seed=args.seed,
+        seed=seed,
         prune_tolerance=args.prune_tolerance,
     )
     t0 = time.perf_counter()
@@ -165,7 +172,7 @@ def _cmd_rigid(args) -> int:
         subsequences=res.subsequences,
         walk=res.walk.steps,
         motion=motion,
-        seed=args.seed,
+        seed=seed,
         chains=(a, moved),
     )
     print(emit_report(report, args.format), end="")
@@ -200,10 +207,7 @@ def _cmd_gen_hard(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph, dg = _load_graph(args.graph)
-    if graph.n_vertices > MIS_LIMIT:
-        raise TooLarge(
-            f"{graph.n_vertices} vertices exceed the verification limit of {MIS_LIMIT}"
-        )
+    check_size(graph.n_vertices, MIS_LIMIT, "vertices")
     t0 = time.perf_counter()
     inst = build_reduction(graph, args.delta)
     rep = verify_reduction_properties(inst, args.gap_factor)

@@ -24,6 +24,7 @@ __all__ = [
     "ParseError",
     "MalformedRecord",
     "NoCaAtoms",
+    "check_size",
     "check_threshold",
 ]
 
@@ -129,3 +130,9 @@ def check_threshold(value: float, name: str = "delta") -> None:
         raise InvalidThreshold(f"{name} must be finite, got an int beyond floats")
     if not finite:
         raise InvalidThreshold(f"{name} must be finite, got {value}")
+
+
+def check_size(count: int, limit: int, what: str) -> None:
+    """Raise TooLarge when count exceeds limit; every size guard calls this."""
+    if count > limit:
+        raise TooLarge(f"{count} {what} exceed the limit of {limit}")

@@ -3,10 +3,10 @@
 The distance is the smallest worst vertex-pair distance achievable by a
 coupling: a monotone walk of two pointers that starts on the first vertices,
 ends on the last, and advances one chain or both by one vertex per step.
-The quadratic dynamic program computes it exactly, with an optimal coupling;
-a reachability sweep decides "distance <= delta" exactly without building the
-table; two tiny enumerators re-derive the distance by brute force for
-cross-checking.
+The quadratic dynamic program computes it exactly, with an optimal coupling,
+and a reachability sweep decides "distance <= delta" exactly without building
+the table.  The brute-force enumerators these are checked against live in
+chainalign.oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import TooLarge, check_threshold
+from .errors import check_size, check_threshold
 from .geometry import Chain3D
 
 __all__ = [
@@ -22,14 +22,10 @@ __all__ = [
     "FrechetResult",
     "discrete_frechet",
     "frechet_decision",
-    "brute_force_frechet",
-    "brute_force_frechet_segments",
     "validate_paired_walk",
     "PAIR_CELL_LIMIT",
 ]
 
-BRUTE_FORCE_LIMIT = 16
-SEGMENT_LIMIT = 10
 # the most cells a table indexed by two chains' vertices may hold; the
 # distance table here peaks at about 16 bytes per cell, so 5000 x 5000
 # cells take about 0.4 GB, and plsa's fast pair DP at most about 12 bytes
@@ -72,12 +68,11 @@ def discrete_frechet(a: Chain3D, b: Chain3D) -> FrechetResult:
     dp[i][j] is the best achievable worst pair over couplings of the
     prefixes ending at (i, j).  Walk reconstruction prefers, on ties,
     advancing both chains, then chain A, then chain B.  More than
-    PAIR_CELL_LIMIT cells raise TooLarge before the table exists.
+    PAIR_CELL_LIMIT cells get TooLarge before the table exists.
     """
     pa, pb = a.points, b.points
     n, m = len(pa), len(pb)
-    if n * m > PAIR_CELL_LIMIT:
-        raise TooLarge(f"{n * m} cells ({n} x {m}) exceed the pair limit of {PAIR_CELL_LIMIT}")
+    check_size(n * m, PAIR_CELL_LIMIT, f"cells ({n} x {m})")
     d = math.dist
     inf = math.inf
 
@@ -165,74 +160,3 @@ def frechet_decision(a: Chain3D, b: Chain3D, delta: float) -> bool:
             return False
         runs = nxt_runs
     return runs[-1][1] == m - 1
-
-
-def brute_force_frechet(a: Chain3D, b: Chain3D) -> float:
-    """Minimum over all unit-step couplings of the worst pair distance.
-
-    Exponential; guarded to |A| + |B| <= 16.  Used as the independent
-    oracle for discrete_frechet.
-    """
-    pa, pb = a.points, b.points
-    n, m = len(pa), len(pb)
-    if n + m > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"|A| + |B| = {n + m} exceeds {BRUTE_FORCE_LIMIT}")
-    d = math.dist
-    best = math.inf
-
-    def walk(i: int, j: int, worst: float) -> None:
-        nonlocal best
-        worst = max(worst, d(pa[i], pb[j]))
-        if worst >= best:
-            return
-        if i == n - 1 and j == m - 1:
-            best = worst
-            return
-        if i + 1 < n and j + 1 < m:
-            walk(i + 1, j + 1, worst)
-        if i + 1 < n:
-            walk(i + 1, j, worst)
-        if j + 1 < m:
-            walk(i, j + 1, worst)
-
-    walk(0, 0, 0.0)
-    return best
-
-
-def brute_force_frechet_segments(a: Chain3D, b: Chain3D) -> float:
-    """Same distance via the segment-partition form of the definition.
-
-    Both chains are cut into the same number of consecutive runs, where in
-    each aligned run pair at least one side is a single vertex; the cost of
-    a run pair is its largest cross distance.  Minimizing the walk maximum
-    over all partitions must agree with the unit-step form exactly.
-    Guarded to |A| + |B| <= 10.
-    """
-    pa, pb = a.points, b.points
-    n, m = len(pa), len(pb)
-    if n + m > SEGMENT_LIMIT:
-        raise TooLarge(f"|A| + |B| = {n + m} exceeds {SEGMENT_LIMIT}")
-    d = math.dist
-    best = math.inf
-
-    def seg_cost(i0: int, i1: int, j0: int, j1: int) -> float:
-        return max(d(pa[i], pb[j]) for i in range(i0, i1) for j in range(j0, j1))
-
-    def go(i: int, j: int, worst: float) -> None:
-        nonlocal best
-        if worst >= best:
-            return
-        if i == n and j == m:
-            best = worst
-            return
-        if i == n or j == m:
-            return
-        # one A vertex against a run of B vertices
-        for j2 in range(j + 1, m + 1):
-            go(i + 1, j2, max(worst, seg_cost(i, i + 1, j, j2)))
-        # a run of at least two A vertices against one B vertex
-        for i2 in range(i + 2, n + 1):
-            go(i2, j + 1, max(worst, seg_cost(i, i2, j, j + 1)))
-
-    go(0, 0, 0.0)
-    return best

@@ -23,7 +23,7 @@ Ties are broken deterministically: the end state is the first optimum in
 lexicographic index order, and each traceback step prefers the predecessor
 advancing the most chains, then the lexicographically smallest index tuple.
 Everything here is pure and immutable, so results are safe to share across
-threads.
+threads.  The reference solvers that check these DPs are in chainalign.oracles.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 from .errors import (
     IncompatibleWalk,
     InvariantError,
-    TooLarge,
     UnsupportedArity,
+    check_size,
     check_threshold,
 )
 from .frechet import PAIR_CELL_LIMIT, discrete_frechet, frechet_decision
@@ -48,24 +48,17 @@ from .geometry import Chain3D
 __all__ = [
     "JointWalk",
     "AlignmentResult",
-    "plsa_static_pair",
     "plsa_static_pair_fast",
     "plsa_static_multi",
-    "plsa_oracle",
-    "plsa_oracle_walks",
     "reconstruct_common_chain",
     "star_compatible",
     "validate_joint_walk",
     "validate_alignment_result",
-    "ORACLE_LIMIT",
     "MAX_ARITY",
     "MULTI_STATE_LIMIT",
     "PAIR_CELL_LIMIT",
 ]
 
-ORACLE_LIMIT = 18
-WALK_ORACLE_LIMIT = 16
-WALK_ORACLE_STATE_LIMIT = 30
 MAX_ARITY = 4
 # plsa_static_multi fills one table over the index tuples: 4 chains at the
 # limit (18 x 18 x 18 x 17) take about 1 s and 5 MB when all compatible
@@ -248,80 +241,6 @@ def validate_alignment_result(
 
 
 # ---------------------------------------------------------------------------
-# reference quadratic-transitions-per-state dynamic program (two chains)
-# ---------------------------------------------------------------------------
-
-def plsa_static_pair(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
-    """Optimal two-chain alignment by the direct dynamic program.
-
-    State (i, j) is the best alignment whose walk ends with a_i coupled to
-    b_j; each state scans every predecessor state, so the total work is
-    quadratic per state (quartic overall).  Serves as the reference against
-    which the prefix-maximum implementation is checked exactly.
-    """
-    check_threshold(delta)
-    pa, pb = a.points, b.points
-    n1, n2 = len(pa), len(pb)
-    d = math.dist
-
-    # t[i][j]: total vertices of the best walk ending at (i, j); -inf = invalid
-    t = [[NEG] * n2 for _ in range(n1)]
-    tt = [[NEG] * n1 for _ in range(n2)]  # transposed copy for column scans
-    pred: list[list[tuple[int, int] | None]] = [[None] * n2 for _ in range(n1)]
-    best_val = 0
-    best_cell: tuple[int, int] | None = None
-
-    for i in range(n1):
-        ai = pa[i]
-        row = t[i]
-        for j in range(n2):
-            if d(ai, pb[j]) > delta:
-                continue
-            val = 2
-            arg: tuple[int, int] | None = None
-            # both chains advance: predecessor anywhere in the open rectangle
-            if i and j:
-                rect = NEG
-                arg_k: tuple[int, int] | None = None
-                for k in range(i):
-                    rk = max(t[k][:j])
-                    if rk > rect:
-                        rect = rk
-                        arg_k = (k, t[k].index(rk))
-                if rect + 2 > val:
-                    val = rect + 2
-                    arg = arg_k
-            # only A advances: predecessor above in the same column
-            if i:
-                col = tt[j]
-                cm = max(col[:i])
-                if cm + 1 > val:
-                    val = cm + 1
-                    arg = (col.index(cm), j)
-            # only B advances: predecessor earlier in the same row
-            if j:
-                rm = max(row[:j])
-                if rm + 1 > val:
-                    val = rm + 1
-                    arg = (i, row.index(rm))
-            row[j] = val
-            tt[j][i] = val
-            pred[i][j] = arg
-            if val > best_val:
-                best_val = val
-                best_cell = (i, j)
-
-    if best_cell is None:
-        return _empty_result(2)
-    steps: list[tuple[int, ...]] = []
-    cur: tuple[int, int] | None = best_cell
-    while cur is not None:
-        steps.append((cur[0] + 1, cur[1] + 1))
-        cur = pred[cur[0]][cur[1]]
-    return _finish(steps, best_val, (a, b), delta)
-
-
-# ---------------------------------------------------------------------------
 # prefix-maximum dynamic program (two chains, quadratic total work)
 # ---------------------------------------------------------------------------
 
@@ -479,7 +398,7 @@ def _pair_kernel(cells: np.ndarray, n1: int, n2: int) -> tuple[int, int, np.ndar
 
 
 def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResult:
-    """Same contract and tie-breaking as plsa_static_pair in O(|A| |B|).
+    """Same contract and tie-breaking as oracles.plsa_static_pair in O(|A| |B|).
 
     _valid_cells lists the cells within delta, computing distances only
     for the candidates in an x band of each vertex of A, and _pair_kernel
@@ -488,14 +407,11 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
     reference exactly.  Time and memory follow the candidate and valid
     cells, so a sparse 3000 x 3000 input peaks near 1 MB; with every cell
     valid they are still O(|A| |B|).  More than PAIR_CELL_LIMIT cells
-    raise TooLarge before any allocation.
+    get TooLarge before any allocation.
     """
     check_threshold(delta)
     n1, n2 = len(a), len(b)
-    if n1 * n2 > PAIR_CELL_LIMIT:
-        raise TooLarge(
-            f"{n1 * n2} cells ({n1} x {n2}) exceed the pair limit of {PAIR_CELL_LIMIT}"
-        )
+    check_size(n1 * n2, PAIR_CELL_LIMIT, f"cells ({n1} x {n2})")
     cells = _valid_cells(a.as_array(), b.as_array(), delta)
     best_val, best, pred = _pair_kernel(cells, n1, n2)
     if best < 0:
@@ -525,7 +441,7 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
     to the most chains advanced, then the smallest state.  Work is
     O((2^m + m) N) for N index tuples; more than MULTI_STATE_LIMIT raise
     TooLarge before the table exists.  With two chains the result matches
-    plsa_static_pair exactly.
+    the reference oracles.plsa_static_pair exactly.
     """
     m = len(chains)
     if m < 2:
@@ -534,11 +450,7 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
         raise UnsupportedArity(f"{m} chains exceed the supported maximum of {MAX_ARITY}")
     check_threshold(delta)
     shape = tuple(len(c) for c in chains)
-    if math.prod(shape) > MULTI_STATE_LIMIT:
-        raise TooLarge(
-            f"{math.prod(shape)} index tuples ({' x '.join(map(str, shape))}) exceed "
-            f"the multi-chain limit of {MULTI_STATE_LIMIT}"
-        )
+    check_size(math.prod(shape), MULTI_STATE_LIMIT, f"index tuples ({' x '.join(map(str, shape))})")
     pts = [c.points for c in chains]
     # tables run over 1-based tuples; index 0 of every chain pads the border
     dims = [n + 1 for n in shape]
@@ -575,127 +487,3 @@ def plsa_static_multi(chains: Sequence[Chain3D], delta: float) -> AlignmentResul
         steps.append(tuple(f // st % d for st, d in zip(strides, dims)))
         key = pred[f]
     return _finish(steps, best // size, chains, delta)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-def _coupling_feasible(
-    polys: list[list[tuple[float, float, float]]], delta: float
-) -> bool:
-    """Is there a unit-step coupling of these polylines with every coupled
-    tuple star-compatible?  Couplings start on the first vertices and end on
-    the last."""
-    shape = tuple(len(p) for p in polys)
-    m = len(polys)
-    reach = np.zeros(shape, dtype=bool)
-    moves = [mv for mv in itertools.product((0, 1), repeat=m) if any(mv)]
-    for s in np.ndindex(shape):
-        if not star_compatible([polys[c][s[c]] for c in range(m)], delta):
-            continue
-        if all(c == 0 for c in s):
-            reach[s] = True
-            continue
-        for mv in moves:
-            p = tuple(sc - mc for sc, mc in zip(s, mv))
-            if all(c >= 0 for c in p) and reach[p]:
-                reach[s] = True
-                break
-    return bool(reach[tuple(c - 1 for c in shape)])
-
-
-def plsa_oracle(chains: Sequence[Chain3D], delta: float) -> int:
-    """Exhaustive alignment value: try every subsequence tuple, largest
-    total first, and accept the first one admitting a delta-compatible
-    coupling.  Two chains reuse the frechet module for that test; more
-    chains run a direct coupling reachability check.  Guarded to a total
-    of ORACLE_LIMIT vertices.
-    """
-    m = len(chains)
-    if m < 2:
-        raise ValueError("need at least two chains")
-    check_threshold(delta)
-    sizes = [len(c) for c in chains]
-    if sum(sizes) > ORACLE_LIMIT:
-        raise TooLarge(f"total vertex count {sum(sizes)} exceeds {ORACLE_LIMIT}")
-    pts = [c.points for c in chains]
-    d = math.dist
-    ok2: list[list[bool]] | None = None
-    if m == 2:
-        ok2 = [[d(p, q) <= delta for q in pts[1]] for p in pts[0]]
-
-    def compositions(total: int) -> list[tuple[int, ...]]:
-        out = []
-        def go(rest: int, c: int, acc: tuple[int, ...]):
-            if c == m - 1:
-                if 1 <= rest <= sizes[c]:
-                    out.append(acc + (rest,))
-                return
-            lo = max(1, rest - sum(sizes[c + 1:]))
-            for k in range(min(sizes[c], rest - (m - 1 - c)), lo - 1, -1):
-                go(rest - k, c + 1, acc + (k,))
-        go(total, 0, ())
-        return out
-
-    for total in range(sum(sizes), m - 1, -1):
-        for comp in compositions(total):
-            pools = [itertools.combinations(range(sizes[c]), comp[c]) for c in range(m)]
-            for picks in itertools.product(*pools):
-                # a coupling pins first to first and last to last, so those
-                # tuples must be compatible; cheap filter before the full test
-                if ok2 is not None:
-                    if not (ok2[picks[0][0]][picks[1][0]] and ok2[picks[0][-1]][picks[1][-1]]):
-                        continue
-                    ca = Chain3D("a", tuple(chains[0].points[i] for i in picks[0]))
-                    cb = Chain3D("b", tuple(chains[1].points[i] for i in picks[1]))
-                    feasible = frechet_decision(ca, cb, delta)
-                else:
-                    firsts = [pts[c][picks[c][0]] for c in range(m)]
-                    lasts = [pts[c][picks[c][-1]] for c in range(m)]
-                    if not star_compatible(firsts, delta) or not star_compatible(lasts, delta):
-                        continue
-                    polys = [[pts[c][i] for i in picks[c]] for c in range(m)]
-                    feasible = _coupling_feasible(polys, delta)
-                if feasible:
-                    return total
-    return 0
-
-
-def plsa_oracle_walks(chains: Sequence[Chain3D], delta: float) -> int:
-    """Second, independently ordered enumeration: depth-first over every
-    monotone lattice walk of delta-compatible index tuples, counting
-    distinct indices per chain.  Exponential; guarded tighter than
-    plsa_oracle and used only to cross-check it.
-    """
-    m = len(chains)
-    if m < 2:
-        raise ValueError("need at least two chains")
-    check_threshold(delta)
-    sizes = [len(c) for c in chains]
-    if sum(sizes) > WALK_ORACLE_LIMIT:
-        raise TooLarge(f"total vertex count {sum(sizes)} exceeds {WALK_ORACLE_LIMIT}")
-    pts = [c.points for c in chains]
-    valid = [
-        s for s in np.ndindex(*sizes)
-        if star_compatible([pts[c][s[c]] for c in range(m)], delta)
-    ]
-    # the walk count is exponential in the number of compatible tuples, not
-    # in the chain lengths, so the second guard is on that count
-    if len(valid) > WALK_ORACLE_STATE_LIMIT:
-        raise TooLarge(f"{len(valid)} compatible tuples exceed {WALK_ORACLE_STATE_LIMIT}")
-    best = 0
-
-    def extend(s: tuple[int, ...], used: list[set[int]]) -> None:
-        nonlocal best
-        total = sum(len(u) for u in used)
-        if total > best:
-            best = total
-        for nxt in valid:
-            if nxt == s or any(nc < sc for nc, sc in zip(nxt, s)):
-                continue
-            extend(nxt, [u | {c} for u, c in zip(used, nxt)])
-
-    for s in valid:
-        extend(s, [{c} for c in s])
-    return best

@@ -28,7 +28,7 @@ from .errors import (
     EmptyGraph,
     InvariantError,
     PropertyViolation,
-    TooLarge,
+    check_size,
     check_threshold,
 )
 from .geometry import Chain3D, Point3
@@ -350,8 +350,7 @@ def max_independent_set_bruteforce(graph: Graph) -> tuple[int, tuple[int, ...]]:
     witness of maximum size.  Branch and bound over bitmasks; guarded to
     MIS_LIMIT vertices."""
     n = graph.n_vertices
-    if n > MIS_LIMIT:
-        raise TooLarge(f"{n} vertices exceed the exact-solver limit of {MIS_LIMIT}")
+    check_size(n, MIS_LIMIT, "vertices")
     adj = [0] * n
     for i, j in graph.edges:
         adj[i - 1] |= 1 << (j - 1)
@@ -473,8 +472,7 @@ def solve_reduction_bruteforce(inst: ReductionInstance) -> ReductionSolution:
     decision.  Guarded to MIS_LIMIT vertices.
     """
     n = inst.graph.n_vertices
-    if n > MIS_LIMIT:
-        raise TooLarge(f"{n} vertices exceed the exact-solver limit of {MIS_LIMIT}")
+    check_size(n, MIS_LIMIT, "vertices")
     if n and inst.chains:  # the threshold is only read when a query exists
         check_threshold(inst.delta)
     targets = [prime_point(i) for i in range(1, n + 1)]

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateTriple, IncompatibleTriple, TooLarge, check_threshold
+from .errors import DegenerateTriple, IncompatibleTriple, check_size, check_threshold
 from .frechet import PAIR_CELL_LIMIT
 from .geometry import Chain3D, RigidMotion, apply_motion, motion_from_triples, move_array
 from .plsa import AlignmentResult, _pair_kernel, _valid_cells, plsa_static_pair_fast
@@ -133,8 +133,7 @@ def enumerate_candidate_motions(
     if min(len(pa), len(pb)) < 3:
         return
     for n in (len(pa), len(pb)):
-        if n * n > PAIR_CELL_LIMIT:
-            raise TooLarge(f"{n} vertices give {n * n} vertex pairs, over {PAIR_CELL_LIMIT}")
+        check_size(n * n, PAIR_CELL_LIMIT, f"vertex pairs ({n} vertices)")
     upper = np.triu(np.ones((len(pb), len(pb)), dtype=bool), 1)
     # the b-edges (j < k) in row-major order, and near()'s buffers: one
     # difference and one test over those edges, and one (n, n) mask per test

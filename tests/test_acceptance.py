@@ -15,16 +15,16 @@ from contextlib import contextmanager
 
 import pytest
 
-from chainalign.frechet import (
+from chainalign.frechet import discrete_frechet
+from chainalign.geometry import Chain3D, RigidMotion, apply_motion, chain_from_coords
+from chainalign.oracles import (
     brute_force_frechet,
     brute_force_frechet_segments,
-    discrete_frechet,
-)
-from chainalign.geometry import Chain3D, RigidMotion, apply_motion, chain_from_coords
-from chainalign.plsa import (
     plsa_oracle,
-    plsa_static_multi,
     plsa_static_pair,
+)
+from chainalign.plsa import (
+    plsa_static_multi,
     plsa_static_pair_fast,
     validate_alignment_result,
 )

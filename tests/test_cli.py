@@ -9,7 +9,8 @@ import pytest
 from chainalign.chainio import parse_chain_file
 from chainalign import cli
 from chainalign.cli import build_parser, main
-from chainalign.plsa import MULTI_STATE_LIMIT, PAIR_CELL_LIMIT, plsa_static_pair
+from chainalign.oracles import plsa_static_pair
+from chainalign.plsa import MULTI_STATE_LIMIT, PAIR_CELL_LIMIT
 from chainalign.reduction import build_reduction, Graph
 
 FIVE_VERTEX_GRAPH = "5 6\n2 3\n2 4\n1 2\n1 4\n3 4\n4 5\n"
@@ -123,6 +124,21 @@ def test_rigid_recovers_a_translation(tmp_path, capsys):
     assert seeded["seed"] == 7
     # each random candidate anchors one vertex pair exactly, so something aligns
     assert seeded["value"] >= 2
+
+
+def test_unseeded_random_search_reports_a_seed_that_replays_it(tmp_path, capsys):
+    fa = write(tmp_path / "a.chain", chain_text([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    fb = write(tmp_path / "b.chain", chain_text([(5, 1, 0), (5, 2, 0), (4, 1, 0), (5, 1, 1)]))
+    argv = ["plsa-rigid", fa, fb, "--delta", "0.5", "--mode", "random", "--budget", "20",
+            "--format", "json"]
+    drawn = run_json(capsys, argv)
+    assert type(drawn["seed"]) is int
+    replay = run_json(capsys, argv + ["--seed", str(drawn["seed"])])
+    del drawn["elapsed_ms"], replay["elapsed_ms"]
+    assert replay == drawn
+    # the triples scan draws nothing, so its report still holds no seed
+    triples = run_json(capsys, argv[:5] + ["--budget", "20", "--format", "json"])
+    assert "seed" not in triples
 
 
 def test_verify_reduction_output(tmp_path, capsys):

@@ -8,12 +8,11 @@ from chainalign.errors import NegativeDelta, TooLarge
 from chainalign.frechet import (
     PAIR_CELL_LIMIT,
     PairedWalk,
-    brute_force_frechet,
-    brute_force_frechet_segments,
     discrete_frechet,
     frechet_decision,
     validate_paired_walk,
 )
+from chainalign.oracles import brute_force_frechet, brute_force_frechet_segments
 from chainalign.geometry import chain_from_coords, dist
 
 

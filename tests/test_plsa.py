@@ -15,15 +15,13 @@ from chainalign.errors import (
 )
 from chainalign.frechet import discrete_frechet
 from chainalign.geometry import Chain3D, Point3, chain_from_coords
+from chainalign.oracles import plsa_oracle, plsa_oracle_walks, plsa_static_pair
 from chainalign.plsa import (
     MULTI_STATE_LIMIT,
     PAIR_CELL_LIMIT,
     AlignmentResult,
     JointWalk,
-    plsa_oracle,
-    plsa_oracle_walks,
     plsa_static_multi,
-    plsa_static_pair,
     plsa_static_pair_fast,
     reconstruct_common_chain,
     star_compatible,

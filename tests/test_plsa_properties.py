@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from chainalign import plsa
 from chainalign.geometry import chain_from_coords
+from chainalign.oracles import plsa_static_pair
 from chainalign.plsa import (
     _empty_result,
     _finish,
     _valid_cells,
     plsa_static_multi,
-    plsa_static_pair,
     plsa_static_pair_fast,
     star_compatible,
 )
