@@ -49,7 +49,6 @@ from .geometry import (
     RigidMotion,
     apply_motion,
     chain_from_coords,
-    dist,
     motion_from_triples,
     triangle_area,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "build_reduction",
     "chain_from_coords",
     "discrete_frechet",
-    "dist",
     "double_prime_point",
     "emit_alignment_svg",
     "emit_report",

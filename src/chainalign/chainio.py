@@ -48,12 +48,6 @@ class ChainDocument:
         if len(set(names)) != len(names):
             raise ValueError("chain names must be unique")
 
-    def get(self, name: str) -> Chain3D | None:
-        for chain in self.chains:
-            if chain.id == name:
-                return chain
-        return None
-
 
 def parse_chain_file(text: str) -> ChainDocument:
     """Parse the chain text format.  Raises ParseError with the offending

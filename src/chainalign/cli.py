@@ -368,16 +368,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except InputError as exc:
+    # UnicodeDecodeError is a ValueError, so exit 2 is decided before exit 3
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InvariantError as exc:

@@ -17,7 +17,6 @@ __all__ = [
     "Point3",
     "Chain3D",
     "RigidMotion",
-    "dist",
     "apply_motion",
     "move_array",
     "motion_from_triples",
@@ -142,16 +141,6 @@ class RigidMotion:
         return np.asarray(self.translation, dtype=float)
 
 
-def dist(p: Point3, q: Point3) -> float:
-    """Euclidean distance between two points.
-
-    Exact (no rounding slack) when the difference vector has a single
-    nonzero component, which keeps threshold comparisons on axis-aligned
-    offsets honest.
-    """
-    return math.dist(p, q)
-
-
 def move_array(motion: RigidMotion, arr: np.ndarray) -> np.ndarray:
     """Rows of an (n, 3) coordinate array moved by ``motion``."""
     return arr @ motion.matrix().T + motion.offset()
@@ -201,8 +190,8 @@ def motion_from_triples(
         raise DegenerateTriple(f"source triple is collinear: {list(src)}")
     for i in range(3):
         for j in range(i + 1, 3):
-            ds = dist(src[i], src[j])
-            dd = dist(dst[i], dst[j])
+            ds = math.dist(src[i], src[j])
+            dd = math.dist(dst[i], dst[j])
             if abs(ds - dd) > tolerance:
                 raise IncompatibleTriple(
                     f"pairwise distance mismatch at ({i}, {j}): |{ds} - {dd}| > {tolerance}"

@@ -206,11 +206,13 @@ def plsa_rigid_pair(
 
     Each candidate is scored with the value of the static pair alignment of
     (a, moved b); strictly larger values replace the incumbent, so ties keep
-    the earliest candidate and the identity is the floor.  Only a new
-    incumbent is moved with apply_motion, whose floats are the scored ones,
-    and aligned in full.  Stops early when a candidate aligns every vertex
-    of both chains.  The returned alignment indexes the original chains; its
-    polylines refer to b after the motion.
+    the earliest candidate and the identity is the floor.  The incumbent is
+    a value and a motion; only the winner is moved with apply_motion, whose
+    floats are the scored ones, and aligned in full, so a search runs the
+    full alignment once for the identity and at most once more.  Stops
+    early when a candidate aligns every vertex of both chains.  The returned
+    alignment indexes the original chains; its polylines refer to b after
+    the motion.
 
     Candidates are scored in chunks of k motions taken from the stream in
     order, k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  Each
@@ -224,27 +226,27 @@ def plsa_rigid_pair(
     Two 100-vertex chains give chunks of 104, over which _valid_cells' two
     distance buffers take their full BLOCK_CELLS size, about 1 MB.
     """
-    ceiling = len(a) + len(b)
-    best_motion = RigidMotion.identity()
-    best = plsa_static_pair_fast(a, b, delta)
-    if best.value == ceiling:
-        return best_motion, best
     n1, n2 = len(a), len(b)
+    ceiling = n1 + n2
+    identity = plsa_static_pair_fast(a, b, delta)
+    best, winner = identity.value, None
     pa, pb = a.as_array(), b.as_array()
     k = max(1, min(SCORE_MOTIONS, SCORE_CELLS // (n1 * n2)))
     stream = enumerate_candidate_motions(a, b, delta, config)
-    while chunk := list(itertools.islice(stream, k)):
+    while best < ceiling and (chunk := list(itertools.islice(stream, k))):
         cells, bounds = _chunk_cells(pa, pb, chunk, delta)
         for c, motion in enumerate(chunk):
             s, e = bounds[c], bounds[c + 1]
-            if 2 * (e - s) <= best.value:
+            if 2 * (e - s) <= best:
                 continue
-            if _pair_kernel(cells[s:e], n1, n2)[0] > best.value:
-                best_motion = motion
-                best = plsa_static_pair_fast(a, apply_motion(motion, b), delta)
-                if best.value == ceiling:
-                    return best_motion, best
-    return best_motion, best
+            value = _pair_kernel(cells[s:e], n1, n2)[0]
+            if value > best:
+                best, winner = value, motion
+                if best == ceiling:
+                    break
+    if winner is None:
+        return RigidMotion.identity(), identity
+    return winner, plsa_static_pair_fast(a, apply_motion(winner, b), delta)
 
 
 def _chunk_cells(

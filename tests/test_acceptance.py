@@ -359,13 +359,13 @@ def test_criterion_11_running_time_envelope(capsys):
         rng = random.Random(10011)
         wide_open = 1e9  # every vertex pair compatible: the heaviest code path
 
+        def once(fn):
+            t0 = time.perf_counter()
+            fn()
+            return time.perf_counter() - t0
+
         def timed(fn):
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
+            return min(once(fn) for _ in range(3))
 
         a1000 = rand_chain(rng, "a", 1000, 3.0)
         b1000 = rand_chain(rng, "b", 1000, 3.0)
@@ -377,8 +377,11 @@ def test_criterion_11_running_time_envelope(capsys):
 
         a40, b40 = rand_chain(rng, "a", 40, 3.0), rand_chain(rng, "b", 40, 3.0)
         a80, b80 = rand_chain(rng, "a", 80, 3.0), rand_chain(rng, "b", 80, 3.0)
-        t40 = timed(lambda: plsa_static_pair(a40, b40, wide_open))
-        t80 = timed(lambda: plsa_static_pair(a80, b80, wide_open))
+        # interleaved, best of 5 each, so host drift weighs on both sizes alike
+        t40 = t80 = math.inf
+        for _ in range(5):
+            t40 = min(t40, once(lambda: plsa_static_pair(a40, b40, wide_open)))
+            t80 = min(t80, once(lambda: plsa_static_pair(a80, b80, wide_open)))
         ratio = t80 / t40
 
         note["detail"] = (

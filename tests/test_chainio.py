@@ -87,8 +87,6 @@ def test_comments_and_blank_lines_are_ignored():
     doc = parse_chain_file(text)
     assert [c.id for c in doc.chains] == ["alpha", "beta"]
     assert doc.chains[0].points[1].y == 2.5
-    assert doc.get("beta") is doc.chains[1]
-    assert doc.get("gamma") is None
 
 
 @pytest.mark.parametrize(

@@ -281,6 +281,17 @@ def test_multi_chain_files_are_rejected(tmp_path, capsys):
     assert err.count("holds 2 chains") == 2
 
 
+def test_undecodable_chain_file_exits_2(tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError, which would otherwise exit 3
+    good = write(tmp_path / "a.chain", chain_text([(0, 0, 0)]))
+    bad = tmp_path / "bad.chain"
+    bad.write_bytes(b"0 0 0\n\xff\n")
+    assert main(["plsa", str(bad), good, "--delta", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "decode" in err
+
+
 def test_bad_parameters_exit_3(tmp_path, capsys):
     fa = write(tmp_path / "a.chain", chain_text([(0, 0, 0)]))
     fb = write(tmp_path / "b.chain", chain_text([(1, 0, 0)]))

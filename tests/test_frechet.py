@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from math import dist
 
 import pytest
 
@@ -13,7 +14,7 @@ from chainalign.frechet import (
     validate_paired_walk,
 )
 from chainalign.oracles import brute_force_frechet, brute_force_frechet_segments
-from chainalign.geometry import chain_from_coords, dist
+from chainalign.geometry import chain_from_coords
 
 
 def rand_chain(rng, name, n, lo=0.0, hi=10.0):

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from decimal import Decimal, getcontext
+from math import dist
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from chainalign.geometry import (
     RigidMotion,
     apply_motion,
     chain_from_coords,
-    dist,
     motion_from_triples,
     move_array,
     triangle_area,

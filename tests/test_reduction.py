@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from math import dist
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from chainalign.errors import (
     TooLarge,
 )
 from chainalign.frechet import discrete_frechet
-from chainalign.geometry import Chain3D, Point3, chain_from_coords, dist
+from chainalign.geometry import Chain3D, Point3, chain_from_coords
 from chainalign.reduction import (
     DOUBLE_PRIME,
     PRIME,

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from math import dist
 from unittest import mock
 
 import pytest
@@ -20,7 +21,7 @@ from chainalign.errors import (
     TooLarge,
 )
 from chainalign.geometry import (
-    RigidMotion, apply_motion, chain_from_coords, dist, motion_from_triples, move_array,
+    RigidMotion, apply_motion, chain_from_coords, motion_from_triples, move_array,
 )
 from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
@@ -390,6 +391,47 @@ def test_no_dp_for_a_candidate_that_cannot_win(a, b, delta, config):
         assert 2 * size > best
         best = max(best, value)
     assert result.value == best
+
+
+def counted_search(a, b, delta, config):
+    # the search's result, its DP values in order, and its calls of the full
+    # alignment and of apply_motion
+    values = []
+
+    def kernel(cells, n1, n2):
+        out = _pair_kernel(cells, n1, n2)
+        values.append(out[0])
+        return out
+
+    with mock.patch.object(rigid, "_pair_kernel", kernel), \
+            mock.patch.object(rigid, "plsa_static_pair_fast", wraps=plsa_static_pair_fast) as full, \
+            mock.patch.object(rigid, "apply_motion", wraps=apply_motion) as move:
+        found = plsa_rigid_pair(a, b, delta, config)
+    return found, values, (full.call_count, move.call_count)
+
+
+def test_only_the_identity_and_the_winner_are_aligned_in_full():
+    # two strict gains over the identity: the winner alone is moved and
+    # aligned again
+    a, b = protein_like_pair(random.Random(131), 100)
+    config = SearchConfig(mode="triples", budget=300)
+    found, values, calls = counted_search(a, b, 1.5, config)
+    best, gains = plsa_static_pair_fast(a, b, 1.5).value, 0
+    for value in values:
+        if value > best:
+            best, gains = value, gains + 1
+    assert gains >= 2 and found[1].value == best
+    assert calls == (2, 1)
+    # candidates scored, and some tie the identity, but none beats it: the
+    # identity's alignment is the result and no chain is moved whole
+    rng = random.Random(38)
+    a, b = rand_chain(rng, "a", 8, hi=3.0), rand_chain(rng, "b", 8, hi=3.0)
+    config = SearchConfig(mode="triples", budget=20)
+    found, values, calls = counted_search(a, b, 0.8, config)
+    identity = plsa_static_pair_fast(a, b, 0.8)
+    assert found == (RigidMotion.identity(), identity)
+    assert values and max(values) == identity.value < len(a) + len(b)
+    assert calls == (1, 0)
 
 
 def assert_scan_equals_oracle(a, b, data):
