@@ -19,7 +19,9 @@ __all__ = [
     "RigidMotion",
     "apply_motion",
     "move_array",
+    "move_array_stack",
     "motion_from_triples",
+    "superpose",
     "triangle_area",
     "ORTHONORMAL_TOL",
     "DEGENERATE_AREA_TOL",
@@ -146,6 +148,17 @@ def move_array(motion: RigidMotion, arr: np.ndarray) -> np.ndarray:
     return arr @ motion.matrix().T + motion.offset()
 
 
+def move_array_stack(
+    rotations: np.ndarray, translations: np.ndarray, arr: np.ndarray
+) -> np.ndarray:
+    """An (n, 3) coordinate array moved by each of k motions, in one product.
+
+    rotations is (k, 3, 3) and translations (k, 3); copy c of the (k, n, 3)
+    result has the floats of move_array with rotation c and translation c.
+    """
+    return arr @ np.swapaxes(rotations, 1, 2) + translations[:, None]
+
+
 def apply_motion(motion: RigidMotion, chain: Chain3D) -> Chain3D:
     """Return a copy of the chain moved by ``motion`` (same id, same order),
     with the floats of move_array(motion, chain.as_array())."""
@@ -180,9 +193,10 @@ def motion_from_triples(
     the two triples are exactly congruent the returned motion maps src onto
     dst to within 1e-9 per vertex.
 
-    Raises DegenerateTriple when src is collinear (triangle area <=
-    DEGENERATE_AREA_TOL) and IncompatibleTriple when corresponding pairwise
-    distances of src and dst disagree by more than ``tolerance``.
+    The motion is superpose's for a stack of one.  Raises DegenerateTriple
+    when src is collinear (triangle area <= DEGENERATE_AREA_TOL) or the
+    superposition overflows, and IncompatibleTriple when corresponding
+    pairwise distances of src and dst disagree by more than ``tolerance``.
     """
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("motion_from_triples expects exactly three points per side")
@@ -197,13 +211,38 @@ def motion_from_triples(
                     f"pairwise distance mismatch at ({i}, {j}): |{ds} - {dd}| > {tolerance}"
                 )
 
-    a = np.array(src, dtype=float)
-    b = np.array(dst, dtype=float)
-    ca = a.mean(axis=0)
-    cb = b.mean(axis=0)
-    h = (a - ca).T @ (b - cb)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    t = cb - r @ ca
-    return RigidMotion(tuple(map(tuple, r)), tuple(t))
+    r, t = superpose(np.array(src, dtype=float)[None], np.array(dst, dtype=float)[None])
+    if not np.isfinite(t).all():
+        raise DegenerateTriple(f"superposition overflows: {list(src)} onto {list(dst)}")
+    return RigidMotion(r[0].tolist(), t[0].tolist())
+
+
+def superpose(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares superpositions of a stack of point sets onto another.
+
+    src is a (k, p, 3) stack and dst a (k, p, 3) or (1, p, 3) one, broadcast
+    over src.  Returns (k, 3, 3) rotations r and (k, 3) translations t such
+    that x -> r[c] x + t[c] best maps src[c] onto dst[c]: the SVD solution
+    with a determinant correction, so every rotation is proper.  Each step
+    runs on the whole stack, with the floats one (p, 3) pair would give
+    alone.  A row whose cross-covariance or translation is not finite (the
+    points overflow) is NaN in both outputs; it is masked before the SVD,
+    and no floating-point warning is raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ca = src.mean(axis=1)
+        cb = dst.mean(axis=1)
+        h = np.swapaxes(src - ca[:, None], 1, 2) @ (dst - cb[:, None])
+        bad = ~np.isfinite(h).all(axis=(1, 2))
+        h[bad] = _EYE3  # any finite matrix: the SVD fails on inf and NaN
+        u, _, vt = np.linalg.svd(h)
+        v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+        fix = np.zeros_like(h)
+        fix[:, 0, 0] = fix[:, 1, 1] = 1.0
+        fix[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+        r = v @ fix @ ut
+        t = cb - (r @ ca[:, :, None])[:, :, 0]
+        bad |= ~np.isfinite(t).all(axis=1)
+    r[bad] = np.nan
+    t[bad] = np.nan
+    return r, t

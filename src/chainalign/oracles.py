@@ -1,8 +1,8 @@
 """Reference solvers that check the production ones; only tests use them.
 
-Each re-derives a result of `frechet` or `plsa` by a slow, independent and
-exact method, and refuses inputs past its limit through errors.check_size.
-No production module imports this one.
+Each re-derives a result of `frechet`, `plsa` or `geometry` by a slow,
+independent and exact method; the exhaustive ones refuse inputs past their
+limits through errors.check_size.  No production module imports this one.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "plsa_static_pair",
     "plsa_oracle",
     "plsa_oracle_walks",
+    "superpose_one",
     "ORACLE_LIMIT",
 ]
 
@@ -288,3 +289,23 @@ def plsa_oracle_walks(chains: Sequence[Chain3D], delta: float) -> int:
     for s in valid:
         extend(s, [{c} for c in s])
     return best
+
+
+def superpose_one(src: Sequence, dst: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and translation that best superpose one point set onto
+    another, computed for this pair alone.
+
+    The steps geometry.superpose runs on stacks, one pair per call: the SVD
+    of the cross-covariance with a determinant correction.  A
+    cross-covariance that is not finite makes the SVD raise LinAlgError.
+    """
+    a = np.array(src, dtype=float)
+    b = np.array(dst, dtype=float)
+    ca = a.mean(axis=0)
+    cb = b.mean(axis=0)
+    h = (a - ca).T @ (b - cb)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    t = cb - r @ ca
+    return r, t

@@ -21,9 +21,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateTriple, IncompatibleTriple, check_size, check_threshold
+from .errors import check_size, check_threshold
 from .frechet import PAIR_CELL_LIMIT
-from .geometry import Chain3D, RigidMotion, apply_motion, motion_from_triples, move_array
+from .geometry import (
+    DEGENERATE_AREA_TOL,
+    Chain3D,
+    RigidMotion,
+    apply_motion,
+    move_array_stack,
+    superpose,
+    triangle_area,
+)
+# not called here, but perfbench/spans.py wraps rigid.motion_from_triples
+# when a traced run starts
+from .geometry import motion_from_triples  # noqa: F401
 from .plsa import AlignmentResult, _pair_kernel, _valid_cells, plsa_static_pair_fast
 
 __all__ = [
@@ -38,7 +49,9 @@ MODES = ("triples", "random")
 # PAIR_CELL_LIMIT, so the flat cell indices fit CELL_INDEX
 SCORE_CELLS = 1 << 20
 # and at most SCORE_MOTIONS candidates, which bounds the motions held and,
-# when a candidate reaches the ceiling, those superposed for nothing
+# when a candidate reaches the ceiling, those built for nothing; the triples
+# scan superposes a slice of at most |b| hits in one call, so up to |b| - 1
+# more of its superpositions may go unused
 SCORE_MOTIONS = 128
 
 
@@ -100,8 +113,9 @@ def enumerate_candidate_motions(
     (both in lexicographic index order), skips pairs whose three pairwise
     distances differ by more than the prune tolerance or whose b-triple is
     degenerate, and yields the least-squares superposition of the b-triple
-    onto the a-triple.  Random mode yields rotations drawn uniformly with a
-    translation matching a random b-vertex to a random a-vertex.
+    onto the a-triple, with the floats of motion_from_triples.  Random mode
+    yields rotations drawn uniformly with a translation matching a random
+    b-vertex to a random a-vertex.
 
     The triples scan computes a's math.dist edge lengths as it reads them
     and keeps b's, the same floats, in one array of its edges j < k.  It
@@ -110,7 +124,10 @@ def enumerate_candidate_motions(
     pair loop over both lexicographic triple lists would produce.  With a
     chain of fewer than 3 vertices it yields nothing and allocates nothing;
     a chain of n vertices with n * n over PAIR_CELL_LIMIT raises TooLarge
-    before anything is allocated.
+    before anything is allocated.  The hits of one a-triple are taken len(b)
+    at a time; those whose b-triple is not degenerate, at most as many as
+    the budget still needs, are superposed in one geometry.superpose call,
+    and one whose superposition overflows is skipped like a degenerate one.
 
     The stream is deterministic for a fixed (a, b, delta, config).
     """
@@ -155,6 +172,7 @@ def enumerate_candidate_motions(
         out[upper] = hit
         return out
 
+    arr_a, arr_b = a.as_array(), b.as_array()
     produced = 0
     # a-triples (i0, i1, i2) in lexicographic order; the b-pairs (j0, j1)
     # that match the first edge are shared by every i2
@@ -165,7 +183,6 @@ def enumerate_candidate_motions(
         for i2 in range(i1 + 1, len(pa)):
             near(math.dist(pa[i0], pa[i2]), near02)
             near(math.dist(pa[i1], pa[i2]), near12)
-            dst = (pa[i0], pa[i1], pa[i2])
             # len(pb) b-pairs at a time, so a block is no larger than a mask,
             # and its hits made Python ints len(pb) at a time, so a budget
             # stop converts only the slice it reads
@@ -174,15 +191,24 @@ def enumerate_candidate_motions(
                 rows, j2 = np.nonzero(near02[b0] & near12[b1])
                 for h in range(0, len(rows), len(pb)):
                     r, c = rows[h:h + len(pb)], j2[h:h + len(pb)]
-                    for k0, k1, k2 in zip(b0[r].tolist(), b1[r].tolist(), c.tolist()):
-                        try:
-                            motion = motion_from_triples(
-                                (pb[k0], pb[k1], pb[k2]), dst, tolerance=tol
-                            )
-                        except (DegenerateTriple, IncompatibleTriple):
-                            continue
-                        produced += 1
-                        yield motion
+                    # near() decided abs(x - y) > tol on the math.dist floats
+                    # motion_from_triples compares, for all three edges, so
+                    # its congruence test passes every hit and only the
+                    # b-triple's degeneracy is left to test
+                    live = [
+                        k for k in zip(b0[r].tolist(), b1[r].tolist(), c.tolist())
+                        if triangle_area(pb[k[0]], pb[k[1]], pb[k[2]]) > DEGENERATE_AREA_TOL
+                    ]
+                    while live:
+                        need = config.budget - produced
+                        rot, t = superpose(arr_b[live[:need]], arr_a[[i0, i1, i2]][None])
+                        live = live[need:]
+                        # a superposition that overflows is skipped like a
+                        # degenerate triple
+                        ok = np.isfinite(t).all(axis=1)
+                        for rc, tc in zip(rot[ok].tolist(), t[ok].tolist()):
+                            produced += 1
+                            yield RigidMotion(rc, tc)
                         if produced >= config.budget:
                             return
 
@@ -215,9 +241,10 @@ def plsa_rigid_pair(
     the motion.
 
     Candidates are scored in chunks of k motions taken from the stream in
-    order, k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  Each
-    motion moves b's array once with move_array, the k moved copies are put
-    side by side, and one _valid_cells call lists the cells of all of them;
+    order, k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  One
+    product moves b's array by all k motions, with the floats move_array
+    gives each, the k moved copies are put side by side, and one
+    _valid_cells call lists the cells of all of them;
     a stable sort by candidate splits that list into each candidate's
     ascending cells.  A walk through c valid cells uses at most 2c vertices,
     so a candidate with 2c not above the incumbent's value cannot beat it
@@ -253,14 +280,17 @@ def _chunk_cells(
     pa: np.ndarray, pb: np.ndarray, motions: list[RigidMotion], delta: float
 ) -> tuple[np.ndarray, list[int]]:
     """The valid cells of (a, b moved by each motion), from one _valid_cells
-    call on the moved copies of b side by side.
+    call on the moved copies of b side by side, which one move_array_stack
+    product makes.
 
     Returns (cells, bounds): the c-th motion's cells, as the ascending flat
     indices i * |b| + j that _valid_cells gives for that copy alone, are
     cells[bounds[c]:bounds[c + 1]].
     """
     n2, k = len(pb), len(motions)
-    moved = np.concatenate([move_array(m, pb) for m in motions])
+    rotations = np.array([m.rotation for m in motions])
+    translations = np.array([m.translation for m in motions])
+    moved = move_array_stack(rotations, translations, pb).reshape(k * n2, 3)
     flat = _valid_cells(pa, moved, delta)
     i, col = np.divmod(flat, k * n2)
     cand, j = np.divmod(col, n2)

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import warnings
 from decimal import Decimal, getcontext
 from math import dist
 
@@ -20,8 +21,11 @@ from chainalign.geometry import (
     chain_from_coords,
     motion_from_triples,
     move_array,
+    move_array_stack,
+    superpose,
     triangle_area,
 )
+from chainalign.oracles import superpose_one
 
 
 def decimal_dist(p, q):
@@ -246,6 +250,14 @@ def test_motion_from_triples_errors():
         motion_from_triples(spread, stretched, tolerance=1e-6)
     with pytest.raises(ValueError):
         motion_from_triples(spread[:2], spread[:2])
+    # the edges to h are inf on both sides, which no congruence test calls
+    # far, and the triangle's area is inf; its cross-covariance overflows
+    h = Point3(1.5e308, 1.5e308, 1.5e308)
+    huge = (Point3(0, 0, 0), Point3(2, 0, 0), h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTriple):
+            motion_from_triples(huge, huge)
 
 
 def test_triangle_area_known_values():
@@ -318,3 +330,94 @@ def test_motion_inverse_round_trip(motion, coords):
     back = apply_motion(inverse, apply_motion(motion, chain))
     for p, q in zip(back.points, chain.points):
         assert dist(p, q) <= 1e-9
+
+
+coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+stack_coords = {
+    "random": coord,
+    "integer": st.integers(-5, 5).map(float),
+    "3-decimal": st.integers(-10_000, 10_000).map(lambda v: v / 1000),
+}
+
+
+@st.composite
+def point_set(draw, kind, p):
+    if kind == "near-collinear":
+        # p points on a line, each off it by at most 1e-6 per coordinate
+        base, step = draw(st.tuples(coord, coord, coord)), draw(st.tuples(coord, coord, coord))
+        off = st.floats(-1e-6, 1e-6)
+        return [[b + t * d + draw(off) for b, d in zip(base, step)]
+                for t in draw(st.lists(coord, min_size=p, max_size=p))]
+    c = stack_coords[kind]
+    return draw(st.lists(st.tuples(c, c, c), min_size=p, max_size=p))
+
+
+def point_stacks(kind, k, p):
+    return st.lists(point_set(kind, p), min_size=k, max_size=k).map(
+        lambda sets: np.array(sets, dtype=float)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(list(stack_coords) + ["near-collinear"]),
+    st.integers(1, 6),
+    st.sampled_from([3, 8]),
+    st.sampled_from(["stacked", "broadcast", "moved", "mirrored"]),
+    st.data(),
+)
+def test_superpose_equals_one_pair_at_a_time(kind, k, p, target, data):
+    # dst is drawn like src, or one set shared by the stack, or src under a
+    # proper motion (det +1) or under a reflection, which the sign fix
+    # turns (det -1); stacking leaves every float as one pair alone gives it
+    src = data.draw(point_stacks(kind, k, p))
+    if target == "stacked":
+        dst = data.draw(point_stacks(kind, k, p))
+    elif target == "broadcast":
+        dst = data.draw(point_stacks(kind, 1, p))
+    else:
+        motion = random_motion(random.Random(data.draw(st.integers(0, 2**32))))
+        dst = move_array(motion, src.reshape(-1, 3)).reshape(src.shape)
+        if target == "mirrored":
+            dst[..., 0] *= -1.0
+    r, t = superpose(src, dst)
+    assert r.shape == (k, 3, 3) and t.shape == (k, 3)
+    for c in range(k):
+        one_r, one_t = superpose_one(src[c], dst[c % len(dst)])
+        assert r[c].tobytes() == one_r.tobytes()
+        assert t[c].tobytes() == one_t.tobytes()
+
+
+def test_superpose_marks_overflowing_rows_nan():
+    # row 1's cross-covariance overflows; row 2's is zero (2 vanishes
+    # beside 1e308) but its translation overflows; rows 0 and 3 are finite
+    # and keep the floats they have alone
+    tri = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]]
+    src = np.array([tri, tri[:2] + [[1.5e308] * 3], [[1e308] * 3, [1e308 + 2.0] * 3, [1e308] * 3],
+                    tri])
+    dst = src.copy()
+    dst[2] *= -1.0
+    dst[3] += 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, t = superpose(src, dst)
+    for c in (1, 2):
+        assert np.isnan(r[c]).all() and np.isnan(t[c]).all()
+    for c in (0, 3):
+        one_r, one_t = superpose_one(src[c], dst[c])
+        assert r[c].tobytes() == one_r.tobytes() and t[c].tobytes() == one_t.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 128), st.integers(3, 300), st.integers(0, 2**32))
+def test_move_array_stack_equals_move_array(k, n, seed):
+    # the rigid search moves b by a chunk's motions in one product
+    rng = random.Random(seed)
+    motions = [random_motion(rng) for _ in range(k)]
+    arr = np.array([[rng.uniform(-50, 50) for _ in range(3)] for _ in range(n)])
+    moved = move_array_stack(
+        np.array([m.rotation for m in motions]), np.array([m.translation for m in motions]), arr
+    )
+    assert moved.shape == (k, n, 3)
+    for c, motion in enumerate(motions):
+        assert moved[c].tobytes() == move_array(motion, arr).tobytes()

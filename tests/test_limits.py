@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 import chainalign
-from chainalign import cli, frechet, oracles, plsa, reduction, rigid
+from chainalign import cli, frechet, geometry, oracles, plsa, reduction, rigid
 from chainalign.errors import TooLarge, check_size
 from chainalign.geometry import chain_from_coords
 from chainalign.reduction import Graph, build_reduction
@@ -28,6 +28,7 @@ REFERENCE_SOLVERS = (
     "plsa_static_pair",
     "plsa_oracle",
     "plsa_oracle_walks",
+    "superpose_one",
 )
 
 
@@ -137,6 +138,6 @@ def test_reference_solvers_are_exported_only_by_oracles():
     assert set(oracles.__all__) == moved
     for name in oracles.__all__:
         assert hasattr(oracles, name)
-    for module in (chainalign, plsa, frechet):
+    for module in (chainalign, plsa, frechet, geometry, rigid):
         assert not moved & set(module.__all__), module.__name__
         assert not any(hasattr(module, name) for name in REFERENCE_SOLVERS), module.__name__

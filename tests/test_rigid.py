@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import itertools
 import math
 import random
@@ -8,21 +7,17 @@ import warnings
 from math import dist
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainalign import rigid
-from chainalign.errors import (
-    DegenerateTriple,
-    IncompatibleTriple,
-    InvalidThreshold,
-    NegativeDelta,
-    TooLarge,
-)
+from chainalign.errors import InvalidThreshold, NegativeDelta, TooLarge
 from chainalign.geometry import (
-    RigidMotion, apply_motion, chain_from_coords, motion_from_triples, move_array,
+    DEGENERATE_AREA_TOL, RigidMotion, apply_motion, chain_from_coords, superpose, triangle_area,
 )
+from chainalign.oracles import superpose_one
 from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
 
@@ -132,11 +127,13 @@ def test_config_validation():
     assert SearchConfig(prune_tolerance=10**300).prune_tolerance == 10**300
 
 
-def oracle_triples_stream(a, b, tol, budget, superpose=motion_from_triples):
-    """The pair-by-pair loop over both lexicographic triple lists.
+def oracle_triples_stream(a, b, tol, budget):
+    """The pair-by-pair loop over both lexicographic triple lists, which
+    superposes one pair per call (oracles.superpose_one).
 
-    Returns the motions and the (src, dst) triples passed to the
-    superposition, in order.
+    Returns the motions and the (src, dst) triples that survive its
+    congruence and degeneracy checks, in order; a superposition that
+    overflows yields no motion.
     """
     motions, superposed = [], []
     d = math.dist
@@ -151,25 +148,49 @@ def oracle_triples_stream(a, b, tol, budget, superpose=motion_from_triples):
                 continue
             src = tuple(pb[k] for k in ib)
             dst = tuple(pa[k] for k in ia)
+            if triangle_area(*src) <= DEGENERATE_AREA_TOL:
+                continue
             superposed.append((src, dst))
             try:
-                motions.append(superpose(src, dst, tolerance=tol))
-            except (DegenerateTriple, IncompatibleTriple):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r, t = superpose_one(src, dst)
+            except np.linalg.LinAlgError:  # a cross-covariance that overflows
                 continue
+            if np.isfinite(r).all() and np.isfinite(t).all():
+                motions.append(RigidMotion(r.tolist(), t.tolist()))
     return motions, superposed
 
 
-def triples_stream(a, b, tol, budget, superpose=motion_from_triples):
-    """enumerate_candidate_motions in triples mode, with the same record."""
+def point_triples(stack):
+    return [tuple(map(tuple, triple)) for triple in stack.tolist()]
+
+
+def triples_stream(a, b, tol, budget):
+    """enumerate_candidate_motions in triples mode, with the (src, dst)
+    triples it passes to the stacked superposition, in order."""
     superposed = []
 
-    def recorded(src, dst, tolerance):
-        superposed.append((src, dst))
-        return superpose(src, dst, tolerance=tolerance)
+    def recorded(src, dst):
+        superposed.extend(zip(point_triples(src), point_triples(np.broadcast_to(dst, src.shape))))
+        return superpose(src, dst)
 
     config = SearchConfig(mode="triples", budget=budget, prune_tolerance=tol)
-    with mock.patch.object(rigid, "motion_from_triples", recorded):
+    with mock.patch.object(rigid, "superpose", recorded):
         motions = list(enumerate_candidate_motions(a, b, 1.0, config))
+    return motions, superposed
+
+
+def motion_bits(motions):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [tuple(map(float.hex, itertools.chain(*m.rotation, m.translation))) for m in motions]
+
+
+def stream_equals_oracle(a, b, tol, budget):
+    # the same triples superposed, and the same motions, bit for bit
+    motions, superposed = triples_stream(a, b, tol, budget)
+    expected, expected_superposed = oracle_triples_stream(a, b, tol, budget)
+    assert superposed == expected_superposed
+    assert motion_bits(motions) == motion_bits(expected)
     return motions, superposed
 
 
@@ -295,14 +316,16 @@ def test_search_equals_oracle_on_continuous_chains(a, b, delta, config):
 
 @contextlib.contextmanager
 def recorded_moves():
-    # the motions plsa_rigid_pair moves b's array by, in order
+    # the motions plsa_rigid_pair moves b's array by, in order: those each
+    # chunk stacks
     moved = []
+    chunk_cells = rigid._chunk_cells
 
-    def recorded(motion, arr):
-        moved.append(motion)
-        return move_array(motion, arr)
+    def recorded(pa, pb, motions, delta):
+        moved.extend(motions)
+        return chunk_cells(pa, pb, motions, delta)
 
-    with mock.patch.object(rigid, "move_array", recorded):
+    with mock.patch.object(rigid, "_chunk_cells", recorded):
         yield moved
 
 
@@ -440,11 +463,7 @@ def assert_scan_equals_oracle(a, b, data):
     diffs = [abs(x - y) for x in edge_lengths(a) for y in edge_lengths(b)]
     tol = data.draw(st.sampled_from([0.0, 1e9, *diffs]))
     budget = data.draw(st.one_of(st.integers(1, 40), st.just(10**9)))
-    # both sides superpose the same triples; compute each motion once
-    superpose = functools.lru_cache(maxsize=None)(motion_from_triples)
-    assert triples_stream(a, b, tol, budget, superpose) == oracle_triples_stream(
-        a, b, tol, budget, superpose
-    )
+    stream_equals_oracle(a, b, tol, budget)
 
 
 @fixed_examples
@@ -463,18 +482,37 @@ def test_triples_scan_equals_oracle_with_overflowing_edges():
     # h is more than the largest float away from the origin, so math.dist
     # gives inf and an a-edge minus a b-edge is inf - inf = nan, which is not
     # "far".  (0, 0, 0), (c, c, c) and h are collinear: that survivor is
-    # superposed and rejected as degenerate (c * 1.5e308 is still finite).
-    # The finite (2, 3, sqrt(13)) triangles match.
+    # rejected as degenerate (c * 1.5e308 is still finite), so it is not
+    # superposed.  The finite (2, 3, sqrt(13)) triangles match.
     h = (1.5e308, 1.5e308, 1.5e308)
     c = 2.0 / math.sqrt(3.0)
     a = chain_from_coords("a", [(0, 0, 0), (2, 0, 0), (0, 3, 0), h])
     b = chain_from_coords("b", [(0, 0, 0), (c, c, c), h, (9, 0, 0), (11, 0, 0), (9, 3, 0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        motions, superposed = triples_stream(a, b, 0.5, 10**9)
-        assert (motions, superposed) == oracle_triples_stream(a, b, 0.5, 10**9)
-    assert ((b.points[0], b.points[1], b.points[2]), a.points[:2] + a.points[3:]) in superposed
+        motions, superposed = stream_equals_oracle(a, b, 0.5, 10**9)
+    assert triangle_area(*b.points[:3]) <= DEGENERATE_AREA_TOL
+    assert (b.points[:3], a.points[:2] + a.points[3:]) not in superposed
     assert motions
+
+
+def test_search_skips_an_overflowing_superposition():
+    # B's (0, 0, 0), (2, 0, 0), h meets A's: the edges to h are inf on both
+    # sides, so the pair passes the scan's tests, and the triangle's area is
+    # inf, so it is not degenerate; its cross-covariance overflows.  That
+    # hit is skipped like a degenerate triple, with no warning.
+    h = (1.5e308, 1.5e308, 1.5e308)
+    c = 2.0 / math.sqrt(3.0)
+    a = chain_from_coords("a", [(0, 0, 0), (2, 0, 0), (0, 3, 0), h])
+    b = chain_from_coords("b", [(0, 0, 0), (c, c, c), (2, 0, 0), (0, 3, 0), h])
+    config = SearchConfig(mode="triples", budget=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        motions, superposed = stream_equals_oracle(a, b, 0.5, config.budget)
+        _, result = plsa_rigid_pair(a, b, 0.25, config)
+    assert ((b.points[0], b.points[2], b.points[4]), (a.points[0], a.points[1], a.points[3])) in superposed
+    assert len(motions) < len(superposed)
+    assert result.value >= plsa_static_pair_fast(a, b, 0.25).value
 
 
 def test_first_triples_candidate_needs_little_memory():
