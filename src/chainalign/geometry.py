@@ -144,8 +144,9 @@ class RigidMotion:
 
 
 def move_array(motion: RigidMotion, arr: np.ndarray) -> np.ndarray:
-    """Rows of an (n, 3) coordinate array moved by ``motion``."""
-    return arr @ motion.matrix().T + motion.offset()
+    """Rows of an (n, 3) coordinate array moved by ``motion``: the stack of
+    one of move_array_stack."""
+    return move_array_stack(motion.matrix()[None], motion.offset()[None], arr)[0]
 
 
 def move_array_stack(
@@ -154,7 +155,7 @@ def move_array_stack(
     """An (n, 3) coordinate array moved by each of k motions, in one product.
 
     rotations is (k, 3, 3) and translations (k, 3); copy c of the (k, n, 3)
-    result has the floats of move_array with rotation c and translation c.
+    is arr @ rotations[c].T + translations[c].
     """
     return arr @ np.swapaxes(rotations, 1, 2) + translations[:, None]
 

@@ -194,14 +194,18 @@ def enumerate_candidate_motions(
                     # near() decided abs(x - y) > tol on the math.dist floats
                     # motion_from_triples compares, for all three edges, so
                     # its congruence test passes every hit and only the
-                    # b-triple's degeneracy is left to test
+                    # b-triple's degeneracy is left to test; like its
+                    # area <= tol, a NaN area (inf - inf in the cross
+                    # product) is not degenerate
                     live = [
                         k for k in zip(b0[r].tolist(), b1[r].tolist(), c.tolist())
-                        if triangle_area(pb[k[0]], pb[k[1]], pb[k[2]]) > DEGENERATE_AREA_TOL
+                        if not triangle_area(pb[k[0]], pb[k[1]], pb[k[2]]) <= DEGENERATE_AREA_TOL
                     ]
                     while live:
                         need = config.budget - produced
-                        rot, t = superpose(arr_b[live[:need]], arr_a[[i0, i1, i2]][None])
+                        # an integer (m, 3) index array gives the (m, 3, 3)
+                        # stack on every numpy (a list of tuples may not)
+                        rot, t = superpose(arr_b[np.array(live[:need])], arr_a[[i0, i1, i2]][None])
                         live = live[need:]
                         # a superposition that overflows is skipped like a
                         # degenerate triple
@@ -242,8 +246,8 @@ def plsa_rigid_pair(
 
     Candidates are scored in chunks of k motions taken from the stream in
     order, k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  One
-    product moves b's array by all k motions, with the floats move_array
-    gives each, the k moved copies are put side by side, and one
+    product moves b's array by all k motions (move_array_stack; move_array,
+    under apply_motion, is its stack of one), the k moved copies are put side by side, and one
     _valid_cells call lists the cells of all of them;
     a stable sort by candidate splits that list into each candidate's
     ascending cells.  A walk through c valid cells uses at most 2c vertices,

@@ -411,7 +411,8 @@ def test_superpose_marks_overflowing_rows_nan():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 128), st.integers(3, 300), st.integers(0, 2**32))
 def test_move_array_stack_equals_move_array(k, n, seed):
-    # the rigid search moves b by a chunk's motions in one product
+    # the rigid search scores b moved by a chunk's k motions in one product
+    # and reports the winner moved by a stack of one (move_array)
     rng = random.Random(seed)
     motions = [random_motion(rng) for _ in range(k)]
     arr = np.array([[rng.uniform(-50, 50) for _ in range(3)] for _ in range(n)])

@@ -496,6 +496,22 @@ def test_triples_scan_equals_oracle_with_overflowing_edges():
     assert motions
 
 
+def test_triples_scan_equals_oracle_with_a_nan_area():
+    # e * e overflows, so the cross product of the b-triple's edges is
+    # inf - inf = nan and so is its area.  NaN is not <= the degeneracy
+    # tolerance, so the triple is kept, as the one-pair-per-call loop keeps
+    # it; its cross-covariance (about 1.3e308) and translation are finite.
+    e = 1.4e154
+    a = chain_from_coords("a", [(0, 0, 0), (0, e, e), (0, e, e)])
+    b = chain_from_coords("b", [(0, 0, 0), (0, e, e), (0, e, e)])
+    assert math.isnan(triangle_area(*b.points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        motions, superposed = stream_equals_oracle(a, b, 0.5, 10**9)
+    assert superposed == [(b.points, a.points)]
+    assert len(motions) == 1
+
+
 def test_search_skips_an_overflowing_superposition():
     # B's (0, 0, 0), (2, 0, 0), h meets A's: the edges to h are inf on both
     # sides, so the pair passes the scan's tests, and the triangle's area is
