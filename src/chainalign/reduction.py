@@ -23,6 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadDelta,
     EmptyGraph,
@@ -60,6 +62,7 @@ DELTA_LIMIT = 0.1
 MIS_LIMIT = 20
 CROSS_DISTANCE_BOUND = 3.0
 SIMPLE_SEPARATION = 1e-9
+SOLVE_BLOCK = 16384  # subsets of one size decided per numpy step
 
 Label = tuple[int, str]
 
@@ -183,8 +186,9 @@ class ReductionReport:
     segment_witness: tuple[str, int, int] | None
 
 
-def _segment_distance(p1, q1, p2, q2) -> float:
-    # closest distance between segments p1q1 and p2q2, parameters clamped
+def _closest_distance(p1, q1, p2, q2) -> float | None:
+    # closest distance between segments p1q1 and p2q2, parameters clamped;
+    # None when an intermediate the result depends on is not finite
     def sub(u, v):
         return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
@@ -198,19 +202,32 @@ def _segment_distance(p1, q1, p2, q2) -> float:
     def clamp(v):
         return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
+    # each check x - x == 0 holds for an int or a finite float, and fails
+    # for inf and NaN
     if a <= tiny and e <= tiny:
-        return math.sqrt(dot(r, r))
+        rr = dot(r, r)
+        return math.sqrt(rr) if rr - rr == 0 else None
     if a <= tiny:
+        if not (e - e == 0 and f - f == 0):
+            return None
         s, t = 0.0, clamp(f / e)
     else:
         c = dot(d1, r)
         if e <= tiny:
+            if not (a - a == 0 and c - c == 0):
+                return None
             s, t = clamp(-c / a), 0.0
         else:
             b = dot(d1, d2)
             denom = a * e - b * b
-            s = clamp((b * f - c * e) / denom) if denom > tiny else 0.0
-            t = (b * s + f) / e
+            num = b * f - c * e
+            if not (denom - denom == 0 and num - num == 0):
+                return None
+            s = clamp(num / denom) if denom > tiny else 0.0
+            t = b * s + f
+            if t - t != 0:
+                return None
+            t /= e
             if t < 0.0:
                 s, t = clamp(-c / a), 0.0
             elif t > 1.0:
@@ -220,6 +237,34 @@ def _segment_distance(p1, q1, p2, q2) -> float:
     return math.dist(c1, c2)
 
 
+def _segment_distance(p1, q1, p2, q2) -> float:
+    """Closest distance between segments p1q1 and p2q2.
+
+    When an intermediate overflows (a float turns inf or NaN, or an int is
+    too large for a float), the same steps run again in exact rational
+    arithmetic on the four points scaled by one power of two, and the
+    distance is scaled back.  Every other input keeps its floats.
+    """
+    try:
+        d = _closest_distance(p1, q1, p2, q2)
+    except OverflowError:
+        d = None
+    if d is not None:
+        return d
+    # imported here: only overflowing inputs need it, and at start-up it
+    # would cost every command about 3 ms and 0.3 MB
+    from fractions import Fraction
+
+    pts = (p1, q1, p2, q2)
+    k = math.frexp(max(abs(c) for p in pts for c in p))[1]
+    scale = Fraction(2) ** k
+    d = _closest_distance(*(tuple(Fraction(c) / scale for c in p) for p in pts))
+    try:
+        return math.ldexp(d, k)
+    except OverflowError:
+        return math.inf
+
+
 def measure_reduction_properties(
     inst: ReductionInstance, gap_factor: float = 10.0
 ) -> ReductionReport:
@@ -227,7 +272,9 @@ def measure_reduction_properties(
 
     Vertices are taken from the instance's actual chains (keyed by label,
     deduplicating exact coincidences), so a corrupted instance measures as
-    corrupted.
+    corrupted.  Segment pairs are scanned per chain in (s, t) order and the
+    first minimum is kept, but each distinct pair of segments is measured
+    once, keyed by its points and their coordinate types.
     """
     check_threshold(gap_factor, "gap_factor")
     occ: list[tuple[Label, Point3]] = []
@@ -270,13 +317,25 @@ def measure_reduction_properties(
                     min_gap, gap_wit = dy - dx, (wx, wy)
                 break
 
+    # edge chains repeat the two layers, so most segment pairs recur: each
+    # distinct pair is measured once.  A vertex key carries the coordinate
+    # types, since an int coordinate runs exact arithmetic where the float
+    # equal to it rounds.
     min_sep, sep_wit = math.inf, None
+    vertex_ids: dict[tuple, int] = {}
+    segment_ids: dict[tuple[int, int], int] = {}
+    measured: dict[int, dict[int, float]] = {}
     for chain in inst.chains:
         pts = chain.points
+        vid = [vertex_ids.setdefault((p, *map(type, p)), len(vertex_ids)) for p in pts]
+        sid = [segment_ids.setdefault(pair, len(segment_ids)) for pair in zip(vid, vid[1:])]
         nseg = len(pts) - 1
         for s in range(nseg):
+            row = measured.setdefault(sid[s], {})
             for t in range(s + 2, nseg):
-                d = _segment_distance(pts[s], pts[s + 1], pts[t], pts[t + 1])
+                d = row.get(sid[t])
+                if d is None:
+                    d = row[sid[t]] = _segment_distance(pts[s], pts[s + 1], pts[t], pts[t + 1])
                 if d < min_sep:
                     min_sep, sep_wit = d, (chain.id, s + 1, t + 1)
 
@@ -405,30 +464,49 @@ def greedy_label_match(
     return tuple(pos)
 
 
-def _close_masks(targets, points, delta: float) -> list[int]:
-    """Per target point, the bit mask of the positions j with
-    math.dist(target, points[j]) <= delta."""
-    d = math.dist
-    return [
-        sum(1 << j for j, p in enumerate(points) if d(t, p) <= delta) for t in targets
-    ]
+def _close_tables(targets, chains, delta: float) -> list[np.ndarray]:
+    """Per chain, the boolean (len(targets), len(chain)) table of
+    math.dist(target, vertex) <= delta.
 
-
-def _sweep(masks, wanted) -> bool:
-    """Can every wanted index, in order, take a position of its mask?
-
-    Each index takes the lowest position of its mask at or after the
-    position of the index before it.  Over close masks this is the
-    subsequence decision: row i of its dynamic program is the close mask of
-    common vertex i cut below the lowest feasible position of row i-1.  Over
-    label masks it is the greedy label scan, since distinct indices never
-    share a position.
+    One distance is computed per target and distinct vertex.  Vertices that
+    compare equal share it: math.dist reads an int coordinate as the float
+    it equals.
     """
-    low = 1
-    for i in wanted:
-        low = masks[i] & -low
-        low &= -low
-    return low != 0
+    column: dict[Point3, int] = {}
+    columns = [[column.setdefault(p, len(column)) for p in chain.points] for chain in chains]
+    d = math.dist
+    close = np.array(
+        [[d(t, p) <= delta for p in column] for t in targets], dtype=bool
+    ).reshape(len(targets), len(column))
+    return [close[:, cols] for cols in columns]
+
+
+def _next_table(hits: np.ndarray, width: int) -> np.ndarray:
+    """next[i, p]: the lowest position q >= p with hits[i, q], or width when
+    there is none.  Positions run up to width inclusive, so a sweep that ran
+    off the end stays there."""
+    rows, length = hits.shape
+    table = np.full((rows, width + 1), width, dtype=np.intp)
+    table[:, :length] = np.where(hits, np.arange(length), width)
+    return np.minimum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
+
+
+def _sweep_positions(table: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sweep many queries through one flattened next table.
+
+    offsets[j] holds, per query, the flat start of the row of its j-th
+    index.  Each index takes the lowest position of its row at or after the
+    position of the index before it; the result is each query's last
+    position, the table's width when some index found none.  Over close
+    rows this is the subsequence decision: row i of its dynamic program is
+    the close set of common vertex i cut below the lowest feasible position
+    of row i-1.  Over label rows it is the greedy label scan, since distinct
+    indices never share a position.
+    """
+    pos = np.zeros(offsets.shape[1:], dtype=np.intp)
+    for row in offsets:
+        pos = table[row + pos]
+    return pos
 
 
 def subsequence_match_decision(common: Chain3D, chain: Chain3D, delta: float) -> bool:
@@ -440,11 +518,14 @@ def subsequence_match_decision(common: Chain3D, chain: Chain3D, delta: float) ->
     (common advanced), any earlier j with i-1 (both advanced, skipped chain
     vertices dropped), or any earlier j with the same i (subsequence
     advanced).  So row i holds every close j at or after the lowest
-    feasible j of row i-1, and the rows are swept as bit masks after
-    O(|common| * |chain|) distances.
+    feasible j of row i-1, and one sweep through the next-close table
+    decides it after O(|common| * |chain|) distances.
     """
     check_threshold(delta)
-    return _sweep(_close_masks(common.points, chain.points, delta), range(len(common)))
+    (close,) = _close_tables(common.points, (chain,), delta)
+    m = len(chain)
+    offsets = np.arange(len(common), dtype=np.intp)[:, None] * (m + 1)
+    return bool(_sweep_positions(_next_table(close, m).ravel(), offsets)[0] < m)
 
 
 @dataclass(frozen=True)
@@ -467,40 +548,74 @@ def solve_reduction_bruteforce(inst: ReductionInstance) -> ReductionSolution:
 
     Every (subset, chain) query is decided twice: by the greedy label scan
     and by the distance-threshold subsequence decision.  The two must agree
-    or an InvariantError is raised.  Each index's distance to each chain
-    vertex is computed once; a query then costs O(k) bit operations per
-    decision.  Guarded to MIS_LIMIT vertices.
+    or an InvariantError is raised.  Per chain, two next tables (the lowest
+    position at or after p within delta of index i's point, and the lowest
+    carrying label i) turn both decisions into k lookups, made for a block
+    of up to SOLVE_BLOCK subsets of one size at a time; chains run in
+    order, and only subsets both decisions found go on to the next.  The
+    first subset of a block, in enumeration order, that either disagrees
+    at some chain or survives every chain decides the result, as in a loop
+    over single queries.  Each index's distance to each distinct chain
+    vertex is computed once.  Guarded to MIS_LIMIT vertices.
     """
     n = inst.graph.n_vertices
     check_size(n, MIS_LIMIT, "vertices")
     if n and inst.chains:  # the threshold is only read when a query exists
         check_threshold(inst.delta)
     targets = [prime_point(i) for i in range(1, n + 1)]
-    masks = [
-        (
-            _close_masks(targets, chain.points, inst.delta),
-            [sum(1 << j for j, lbl in enumerate(labels) if lbl[0] == i) for i in range(1, n + 1)],
-            chain.id,
-        )
-        for chain, labels in zip(inst.chains, inst.label_map)
-    ]
+    width = max((len(chain) for chain in inst.chains), default=0)
+    stride = width + 1
+    row_of = {i: i - 1 for i in range(1, n + 1)}
+    tables = []
+    for close, labels in zip(_close_tables(targets, inst.chains, inst.delta), inst.label_map):
+        carries = np.zeros_like(close)
+        for p, lbl in enumerate(labels):
+            row = row_of.get(lbl[0])
+            if row is not None:
+                carries[row, p] = True
+        # label rows 0..n-1, then close rows n..2n-1
+        tables.append(_next_table(np.concatenate((carries, close)), width).ravel())
+
     for k in range(n, 0, -1):
-        for subset in itertools.combinations(range(n), k):
-            for close, at, chain_id in masks:
-                found = _sweep(at, subset)
-                if found != _sweep(close, subset):
-                    raise InvariantError(
-                        f"label scan and distance decision disagree on subset "
-                        f"{tuple(i + 1 for i in subset)} against chain {chain_id}"
-                    )
-                if not found:
-                    break
-            else:
-                vertices = tuple(i + 1 for i in subset)
-                return ReductionSolution(
-                    k,
-                    vertices,
-                    Chain3D("C", tuple(targets[i] for i in subset)),
-                    tuple(greedy_label_match(vertices, labels) for labels in inst.label_map),
+        combos = itertools.combinations(range(n), k)
+        while True:
+            # int8 holds every index below MIS_LIMIT and keeps a block small
+            block = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, SOLVE_BLOCK)), np.int8
+            ).reshape(-1, k)
+            if not len(block):
+                break
+            offsets = np.empty((k, 2, len(block)), dtype=np.intp)
+            offsets[:, 0] = block.T
+            offsets[:, 0] *= stride
+            offsets[:, 1] = offsets[:, 0] + n * stride
+            alive = np.arange(len(block))
+            # per subset, the chain whose decisions first disagreed, or
+            # len(tables) when every chain matched it
+            verdict = np.full(len(block), -1)
+            for c, table in enumerate(tables):
+                found, close = _sweep_positions(table, offsets) < width
+                verdict[alive[found != close]] = c
+                keep = found & close
+                if not keep.all():
+                    alive, offsets = alive[keep], offsets[:, :, keep]
+                    if not len(alive):
+                        break
+            verdict[alive] = len(tables)
+            decided = np.flatnonzero(verdict >= 0)
+            if not len(decided):
+                continue
+            first = decided[0]
+            vertices = tuple(int(i) + 1 for i in block[first])
+            if verdict[first] < len(tables):
+                raise InvariantError(
+                    f"label scan and distance decision disagree on subset "
+                    f"{vertices} against chain {inst.chains[verdict[first]].id}"
                 )
+            return ReductionSolution(
+                k,
+                vertices,
+                Chain3D("C", tuple(targets[i - 1] for i in vertices)),
+                tuple(greedy_label_match(vertices, labels) for labels in inst.label_map),
+            )
     raise InvariantError("no subset matched every chain, not even a single index")

@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 import math
 import random
 from math import dist
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainalign import reduction
 from chainalign.errors import (
     BadDelta,
     EmptyGraph,
@@ -23,7 +26,9 @@ from chainalign.reduction import (
     PRIME,
     Graph,
     ReductionInstance,
+    ReductionReport,
     ReductionSolution,
+    _segment_distance,
     build_reduction,
     double_prime_point,
     greedy_label_match,
@@ -185,6 +190,106 @@ def test_self_crossing_chain_is_caught():
     with pytest.raises(PropertyViolation) as exc:
         verify_reduction_properties(bad)
     assert exc.value.prop == "simplicity"
+
+
+@pytest.mark.parametrize(
+    "scale", [1.0, 1e100, 1e199, 10**200], ids=["1", "1e100", "1e199", "int-1e200"]
+)
+def test_overflowing_self_crossing_chain_is_caught(scale):
+    # segments 1 and 3 cross at every scale; at 1e100 the float products
+    # overflow to inf, at 1e199 to NaN, and at 10**200 the exact int products
+    # are too large for a float
+    corners = ((0, 0), (10, 0), (3, -7), (6, 9))
+    pts = tuple(Point3(x * scale, y * scale, 0.0) for x, y in corners)
+    labels = tuple((i, PRIME) for i in range(1, 5))
+    inst = ReductionInstance(Graph(4), 0.05, (Chain3D("P0", pts),), (labels,))
+    with pytest.raises(PropertyViolation) as exc:
+        verify_reduction_properties(inst)
+    assert exc.value.prop == "simplicity"
+    assert exc.value.witness == ("P0", 1, 3)
+
+
+def test_segment_distance_past_the_float_range_is_inf():
+    # the exact recompute's distance is too large for a float, as math.dist's is
+    pts = ((-1.5e308, 0.0, 0.0), (-1.5e308, 1.0, 0.0), (1.5e308, 1.0, 0.0), (1.5e308, 0.0, 0.0))
+    assert math.dist(pts[0], pts[3]) == math.inf
+    assert _segment_distance(*pts) == math.inf
+
+
+def oracle_measure(inst, gap_factor=10.0):
+    """The measurement as a plain loop: every pairwise vertex distance and
+    every non-adjacent segment pair of every chain, in (chain, s, t) order,
+    the first extremum kept."""
+    occ = []
+    for chain, labels in zip(inst.chains, inst.label_map):
+        for key in zip(labels, chain.points):
+            if key not in occ:
+                occ.append(key)
+    min_cross, cross_wit = math.inf, None
+    max_same, same_wit = 0.0, None
+    pairs = []
+    for x in range(len(occ)):
+        (lx, px) = occ[x]
+        for y in range(x + 1, len(occ)):
+            (ly, py) = occ[y]
+            d = math.dist(px, py)
+            if lx[0] != ly[0]:
+                pairs.append((d, frozenset((lx[0], ly[0])), (lx, ly)))
+                if d < min_cross:
+                    min_cross, cross_wit = d, (lx, ly)
+            elif lx[1] != ly[1] and d > max_same:
+                max_same, same_wit = d, (lx, ly)
+    pairs.sort(key=lambda t: t[0])
+    min_gap, gap_wit = math.inf, None
+    for x, (dx, cx, wx) in enumerate(pairs):
+        for dy, cy, wy in pairs[x + 1:]:
+            if cx.isdisjoint(cy):
+                if dy - dx < min_gap:
+                    min_gap, gap_wit = dy - dx, (wx, wy)
+                break
+    min_sep, sep_wit = math.inf, None
+    for chain in inst.chains:
+        pts = chain.points
+        nseg = len(pts) - 1
+        for s in range(nseg):
+            for t in range(s + 2, nseg):
+                d = _segment_distance(pts[s], pts[s + 1], pts[t], pts[t + 1])
+                if d < min_sep:
+                    min_sep, sep_wit = d, (chain.id, s + 1, t + 1)
+    return ReductionReport(
+        inst.graph.n_vertices, len(inst.chains), inst.delta, gap_factor,
+        min_cross, cross_wit, max_same, same_wit, min_gap, gap_wit, min_sep, sep_wit,
+    )
+
+
+def report_fields(report):
+    # floats by their exact bits, everything else as it is
+    return [
+        v.hex() if isinstance(v, float) else v
+        for v in (getattr(report, f.name) for f in dataclasses.fields(report))
+    ]
+
+
+def test_measurement_keeps_int_and_float_twins_apart():
+    # the int points equal their float twins, but their segments' closest
+    # distance runs exact int arithmetic and differs in the last bits
+    quad = (
+        (714833888289, 106077387495, 657567403029),
+        (740167835907, 248393158148, 890941275915),
+        (86626416188, 813194978374, 239015928073),
+        (626570867044, 298290212567, 864254913709),
+    )
+    ints = tuple(Point3(*p) for p in quad)
+    floats = tuple(Point3(*map(float, p)) for p in quad)
+    assert ints == floats
+    assert _segment_distance(*floats) < _segment_distance(*ints)
+    labels = tuple((i, PRIME) for i in range(1, 5))
+    inst = ReductionInstance(
+        Graph(4), 0.05, (Chain3D("P0", ints), Chain3D("P1", floats)), (labels, labels)
+    )
+    report = measure_reduction_properties(inst)
+    assert report.segment_witness == ("P1", 1, 3)
+    assert report_fields(report) == report_fields(oracle_measure(inst))
 
 
 def test_gap_factor_parameter_tightens_the_check():
@@ -389,10 +494,95 @@ def reduction_instances(draw):
     return inst
 
 
+@st.composite
+def reordered_instances(draw):
+    # one chain's vertices, with their labels, in a drawn order: most such
+    # chains cross themselves
+    inst = draw(reduction_instances())
+    which = draw(st.integers(0, len(inst.chains) - 1))
+    chain, labels = inst.chains[which], inst.label_map[which]
+    order = draw(st.permutations(range(len(chain))))
+    chains = list(inst.chains)
+    label_map = list(inst.label_map)
+    chains[which] = Chain3D(chain.id, tuple(chain.points[i] for i in order))
+    label_map[which] = tuple(labels[i] for i in order)
+    return ReductionInstance(inst.graph, inst.delta, tuple(chains), tuple(label_map))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(reduction_instances() | reordered_instances(), st.sampled_from([0.5, 2.0, 10.0]))
+def test_measurement_equals_the_per_pair_oracle(inst, gap_factor):
+    report = measure_reduction_properties(inst, gap_factor)
+    assert report_fields(report) == report_fields(oracle_measure(inst, gap_factor))
+
+
+BLOCK_SIZES = (1, 3, reduction.SOLVE_BLOCK)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(reduction_instances())
 def test_solver_equals_the_per_query_oracle(inst):
-    assert solve_outcome(solve_reduction_bruteforce, inst) == solve_outcome(oracle_solve, inst)
+    expected = solve_outcome(oracle_solve, inst)
+    for block in BLOCK_SIZES:
+        with patch.object(reduction, "SOLVE_BLOCK", block):
+            assert solve_outcome(solve_reduction_bruteforce, inst) == expected, block
+
+
+def decisions(inst, which, subset):
+    """The label scan's and the list dynamic program's answer for one query."""
+    common = Chain3D("C", tuple(prime_point(i) for i in subset))
+    return (
+        greedy_label_match(subset, inst.label_map[which]) is not None,
+        list_dp_decision(common, inst.chains[which], inst.delta),
+    )
+
+
+def two_subset_instance(moved):
+    """Graph(3) with edge (1, 2) and one vertex of chain P1 moved far away.
+
+    P1 lists 2', 3', 1'', 3''.  Size 3 and subset (1, 2) fail both
+    decisions at P1.  Moving position 0 (2') makes subset (2, 3) disagree
+    there while (1, 3) matches; moving position 3 (3'') makes (1, 3)
+    disagree while (2, 3) matches.
+    """
+    return move_vertex(build_reduction(Graph(3, ((1, 2),))), 1, moved, 5.0)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_solver_block_edge_cases(block):
+    with patch.object(reduction, "SOLVE_BLOCK", block):
+        # no chains: the full index set matches vacuously
+        empty = ReductionInstance(Graph(3), 0.05, (), ())
+        assert solve_outcome(solve_reduction_bruteforce, empty) == solve_outcome(oracle_solve, empty)
+        assert solve_reduction_bruteforce(empty).vertices == (1, 2, 3)
+
+        # a chain of 70 vertices whose labelled points come after 66 far
+        # fillers that carry no index
+        fill = tuple(Point3(100.0 + p, 0.0, 50.0) for p in range(66))
+        chain = Chain3D("P0", fill + tuple(prime_point(i) for i in range(1, 5)))
+        labels = tuple((0, PRIME) for _ in fill) + tuple((i, PRIME) for i in range(1, 5))
+        long = ReductionInstance(Graph(4), 0.05, (chain,), (labels,))
+        sol = solve_reduction_bruteforce(long)
+        assert sol.matches == ((67, 68, 69, 70),)
+        assert solve_outcome(solve_reduction_bruteforce, long) == solve_outcome(oracle_solve, long)
+
+        # a matching subset before a disagreeing one of the same size returns
+        match_first = two_subset_instance(0)
+        assert decisions(match_first, 1, (2, 3)) == (True, False)
+        assert solve_reduction_bruteforce(match_first).vertices == (1, 3)
+        assert solve_outcome(solve_reduction_bruteforce, match_first) == solve_outcome(
+            oracle_solve, match_first
+        )
+
+        # a disagreeing subset before a matching one raises
+        disagree_first = two_subset_instance(3)
+        assert decisions(disagree_first, 1, (2, 3)) == (True, True)
+        expected = (
+            "raised",
+            "label scan and distance decision disagree on subset (1, 3) against chain P1",
+        )
+        assert solve_outcome(oracle_solve, disagree_first) == expected
+        assert solve_outcome(solve_reduction_bruteforce, disagree_first) == expected
 
 
 def test_solver_names_the_first_disagreement():
