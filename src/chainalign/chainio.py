@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedRecord, NoCaAtoms, ParseError
 from .geometry import Chain3D, Point3
-from .reduction import Graph
+from .reduction import Graph, check_edge
 
 __all__ = [
     "ChainDocument",
@@ -139,7 +139,7 @@ def parse_graph_file(text: str) -> Graph:
         raise ParseError(head_no, f"expected {m} edge lines, found {len(sig) - 1}")
 
     edges: list[tuple[int, int]] = []
-    normalized: set[tuple[int, int]] = set()
+    seen: set[tuple[int, int]] = set()
     for no, line in sig[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -148,14 +148,10 @@ def parse_graph_file(text: str) -> Graph:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(no, f"non-integer edge {line!r}") from None
-        if i == j:
-            raise ParseError(no, f"self-loop at vertex {i}")
-        key = (min(i, j), max(i, j))
-        if not 1 <= key[0] < key[1] <= n:
-            raise ParseError(no, f"edge ({i}, {j}) out of range 1..{n}")
-        if key in normalized:
-            raise ParseError(no, f"duplicate edge ({i}, {j})")
-        normalized.add(key)
+        try:
+            check_edge((i, j), n, seen)
+        except ValueError as e:
+            raise ParseError(no, str(e)) from None
         edges.append((i, j))
     return Graph(n, tuple(edges))
 

@@ -18,7 +18,6 @@ __all__ = [
     "Chain3D",
     "RigidMotion",
     "apply_motion",
-    "move_array",
     "move_array_stack",
     "motion_from_triples",
     "superpose",
@@ -136,34 +135,23 @@ class RigidMotion:
     def identity() -> "RigidMotion":
         return RigidMotion(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0))
 
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.rotation, dtype=float)
 
-    def offset(self) -> np.ndarray:
-        return np.asarray(self.translation, dtype=float)
-
-
-def move_array(motion: RigidMotion, arr: np.ndarray) -> np.ndarray:
-    """Rows of an (n, 3) coordinate array moved by ``motion``: the stack of
-    one of move_array_stack."""
-    return move_array_stack(motion.matrix()[None], motion.offset()[None], arr)[0]
-
-
-def move_array_stack(
-    rotations: np.ndarray, translations: np.ndarray, arr: np.ndarray
-) -> np.ndarray:
+def move_array_stack(motions: Sequence[RigidMotion], arr: np.ndarray) -> np.ndarray:
     """An (n, 3) coordinate array moved by each of k motions, in one product.
 
-    rotations is (k, 3, 3) and translations (k, 3); copy c of the (k, n, 3)
-    is arr @ rotations[c].T + translations[c].
+    Copy c of the (k, n, 3) result is arr @ R.T + t for the rotation R and
+    translation t of motions[c]; a copy's floats do not depend on the other
+    motions of the stack.
     """
+    rotations = np.array([m.rotation for m in motions])
+    translations = np.array([m.translation for m in motions])
     return arr @ np.swapaxes(rotations, 1, 2) + translations[:, None]
 
 
 def apply_motion(motion: RigidMotion, chain: Chain3D) -> Chain3D:
     """Return a copy of the chain moved by ``motion`` (same id, same order),
-    with the floats of move_array(motion, chain.as_array())."""
-    moved = move_array(motion, chain.as_array())
+    with the floats of move_array_stack([motion], chain.as_array())[0]."""
+    moved = move_array_stack([motion], chain.as_array())[0]
     return Chain3D(chain.id, tuple(Point3(x, y, z) for x, y, z in moved.tolist()))
 
 

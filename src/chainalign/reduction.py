@@ -71,32 +71,41 @@ Label = tuple[int, str]
 class Graph:
     """Simple undirected graph on vertices 1..n_vertices.
 
-    Edges are stored with endpoints normalized to (low, high) but in the
-    order given; self-loops, duplicates, and out-of-range endpoints are
-    rejected.
+    Edges pass check_edge and are stored with endpoints normalized to
+    (low, high) but in the order given.
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if type(self.n_vertices) is not int:  # a bool is not a vertex count
+            raise ValueError(f"vertex count must be an int, got {self.n_vertices!r}")
         if self.n_vertices < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n_vertices}")
-        norm: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for edge in self.edges:
-            i, j = edge
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if i > j:
-                i, j = j, i
-            if not 1 <= i < j <= self.n_vertices:
-                raise ValueError(f"edge {edge} out of range 1..{self.n_vertices}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge {edge}")
-            seen.add((i, j))
-            norm.append((i, j))
-        object.__setattr__(self, "edges", tuple(norm))
+        norm = tuple(check_edge(edge, self.n_vertices, seen) for edge in self.edges)
+        object.__setattr__(self, "edges", norm)
+
+
+def check_edge(edge, n_vertices: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """Edge (i, j) of a graph on 1..n_vertices as (low, high), added to seen.
+
+    Raises ValueError for an endpoint that is not an int (a bool is not),
+    a self-loop, an endpoint out of range, or an edge already in seen.
+    """
+    i, j = edge
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"edge {edge} has a non-integer endpoint")
+    if i == j:
+        raise ValueError(f"self-loop at vertex {i}")
+    key = (min(i, j), max(i, j))
+    if not 1 <= key[0] < key[1] <= n_vertices:
+        raise ValueError(f"edge {edge} out of range 1..{n_vertices}")
+    if key in seen:
+        raise ValueError(f"duplicate edge {edge}")
+    seen.add(key)
+    return key
 
 
 def prime_point(index: int) -> Point3:
@@ -146,14 +155,16 @@ def build_reduction(graph: Graph, delta: float = 0.05) -> ReductionInstance:
     if n == 0:
         raise EmptyGraph("cannot build an instance for a graph with no vertices")
 
+    # the 2n layer points, built once and shared by every chain
+    base = [prime_point(p) for p in range(1, n + 1)]
+    offset = [double_prime_point(q, delta) for q in range(1, n + 1)]
     chains: list[Chain3D] = []
     labels: list[tuple[Label, ...]] = []
-    chains.append(Chain3D("P0", tuple(prime_point(p) for p in range(1, n + 1))))
+    chains.append(Chain3D("P0", tuple(base)))
     labels.append(tuple((p, PRIME) for p in range(1, n + 1)))
     for r, (i, j) in enumerate(graph.edges, start=1):
-        pts = [prime_point(p) for p in range(1, n + 1) if p != i]
+        pts = base[:i - 1] + base[i:] + offset[:j - 1] + offset[j:]
         lbl: list[Label] = [(p, PRIME) for p in range(1, n + 1) if p != i]
-        pts += [double_prime_point(q, delta) for q in range(1, n + 1) if q != j]
         lbl += [(q, DOUBLE_PRIME) for q in range(1, n + 1) if q != j]
         chains.append(Chain3D(f"P{r}", tuple(pts)))
         labels.append(tuple(lbl))

@@ -27,7 +27,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import InputError
-from .geometry import Chain3D, Point3, RigidMotion
+from .geometry import Chain3D, RigidMotion, chain_from_coords
 
 __all__ = [
     "RunReport",
@@ -197,9 +197,8 @@ def report_chains(data: dict) -> list[Chain3D]:
     chains: list[Chain3D] = []
     for entry in raw:
         try:
-            pts = tuple(Point3(float(x), float(y), float(z)) for x, y, z in entry["vertices"])
-            chains.append(Chain3D(str(entry["name"]), pts))
-        except (KeyError, TypeError, ValueError) as exc:
+            chains.append(chain_from_coords(str(entry["name"]), entry["vertices"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad chain entry in report: {exc}") from None
     return chains
 

@@ -6,9 +6,9 @@ wins.  Two candidate generators are provided: an exhaustive scan over vertex
 triples (a congruent triple pair determines the motion up to reflection) and
 a seeded random sampler over rotations and vertex-anchored translations.
 
-The identity motion is always scored first, so the result is never worse
-than the static alignment of the chains as given.  Ties keep the earlier
-candidate, which makes the search deterministic for a fixed configuration.
+The identity motion is always scored first, like every candidate, so the
+result is never worse than the static alignment of the chains as given.
+Ties keep the earlier motion, which makes the search deterministic.
 """
 
 from __future__ import annotations
@@ -234,37 +234,42 @@ def plsa_rigid_pair(
 ) -> tuple[RigidMotion, AlignmentResult]:
     """Best (motion, alignment) over the identity plus the candidate stream.
 
-    Each candidate is scored with the value of the static pair alignment of
-    (a, moved b); strictly larger values replace the incumbent, so ties keep
-    the earliest candidate and the identity is the floor.  The incumbent is
-    a value and a motion; only the winner is moved with apply_motion, whose
-    floats are the scored ones, and aligned in full, so a search runs the
-    full alignment once for the identity and at most once more.  Stops
-    early when a candidate aligns every vertex of both chains.  The returned
-    alignment indexes the original chains; its polylines refer to b after
-    the motion.
+    The identity, scored first in a chunk of its own, and each candidate are
+    scored with the value of the static pair alignment of (a, moved b);
+    strictly larger values replace the incumbent, so ties keep the earliest
+    motion and the identity is the floor.  The incumbent is a value and a
+    motion; only the winner is moved with apply_motion, whose floats are the
+    scored ones, and aligned in full, once per search.  Stops early when a
+    motion aligns every vertex of both chains, so an identity that does
+    never advances the stream.  The returned alignment indexes the original
+    chains; its polylines refer to b after the motion.
 
     Candidates are scored in chunks of k motions taken from the stream in
     order, k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  One
-    product moves b's array by all k motions (move_array_stack; move_array,
-    under apply_motion, is its stack of one), the k moved copies are put side by side, and one
-    _valid_cells call lists the cells of all of them;
-    a stable sort by candidate splits that list into each candidate's
-    ascending cells.  A walk through c valid cells uses at most 2c vertices,
-    so a candidate with 2c not above the incumbent's value cannot beat it
-    and skips the DP.  Stopping at the ceiling inside a chunk leaves the
-    rest of it superposed but unscored, at most SCORE_MOTIONS - 1 motions.
-    Two 100-vertex chains give chunks of 104, over which _valid_cells' two
-    distance buffers take their full BLOCK_CELLS size, about 1 MB.
+    move_array_stack product moves b's array by all k motions, the k moved
+    copies are put side by side, and one _valid_cells call lists the cells
+    of all of them; a stable sort by candidate splits that list into each
+    candidate's ascending cells.  A walk through c valid cells uses at most
+    2c vertices, so a candidate with 2c not above the incumbent's value
+    cannot beat it and skips the DP.  Stopping at the ceiling inside a chunk
+    leaves the rest of it superposed but unscored, at most SCORE_MOTIONS - 1
+    motions.  Two 100-vertex chains give chunks of 104, over which
+    _valid_cells' two distance buffers take their full BLOCK_CELLS size,
+    about 1 MB.
     """
+    check_threshold(delta)
     n1, n2 = len(a), len(b)
+    check_size(n1 * n2, PAIR_CELL_LIMIT, f"cells ({n1} x {n2})")
     ceiling = n1 + n2
-    identity = plsa_static_pair_fast(a, b, delta)
-    best, winner = identity.value, None
+    best, winner = -1, None
     pa, pb = a.as_array(), b.as_array()
     k = max(1, min(SCORE_MOTIONS, SCORE_CELLS // (n1 * n2)))
     stream = enumerate_candidate_motions(a, b, delta, config)
-    while best < ceiling and (chunk := list(itertools.islice(stream, k))):
+    # the identity alone, then the stream k motions at a time
+    chunks = itertools.chain(
+        [[RigidMotion.identity()]], iter(lambda: list(itertools.islice(stream, k)), [])
+    )
+    while best < ceiling and (chunk := next(chunks, None)):
         cells, bounds = _chunk_cells(pa, pb, chunk, delta)
         for c, motion in enumerate(chunk):
             s, e = bounds[c], bounds[c + 1]
@@ -275,8 +280,6 @@ def plsa_rigid_pair(
                 best, winner = value, motion
                 if best == ceiling:
                     break
-    if winner is None:
-        return RigidMotion.identity(), identity
     return winner, plsa_static_pair_fast(a, apply_motion(winner, b), delta)
 
 
@@ -292,9 +295,7 @@ def _chunk_cells(
     cells[bounds[c]:bounds[c + 1]].
     """
     n2, k = len(pb), len(motions)
-    rotations = np.array([m.rotation for m in motions])
-    translations = np.array([m.translation for m in motions])
-    moved = move_array_stack(rotations, translations, pb).reshape(k * n2, 3)
+    moved = move_array_stack(motions, pb).reshape(k * n2, 3)
     flat = _valid_cells(pa, moved, delta)
     i, col = np.divmod(flat, k * n2)
     cand, j = np.divmod(col, n2)

@@ -205,6 +205,11 @@ def test_render_produces_svg(tmp_path, capsys):
     tampered = write(tmp_path / "tampered.json", json.dumps(data))
     assert main(["render", tampered, "--out", str(tmp_path / "t.svg")]) == 2
     assert "non-integer index" in capsys.readouterr().err
+    data["walk"][0] = [1, 1]
+    data["chains"][1]["vertices"][1][0] = 10**400  # a JSON integer beyond floats
+    huge = write(tmp_path / "huge.json", json.dumps(data))
+    assert main(["render", huge, "--out", str(tmp_path / "h.svg")]) == 2
+    assert "bad chain entry" in capsys.readouterr().err
 
 
 def test_pdb_inputs(tmp_path, capsys):

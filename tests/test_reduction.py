@@ -111,6 +111,15 @@ def test_graph_validation():
         Graph(3, ((0, 1),))
     with pytest.raises(ValueError):
         Graph(3, ((1, 4),))
+    # vertex counts and endpoints are ints, and a bool is not one
+    with pytest.raises(ValueError):
+        Graph(3, ((1, 2.5),))
+    with pytest.raises(ValueError):
+        Graph(2.5)
+    with pytest.raises(ValueError):
+        Graph(3, ((True, 2),))
+    with pytest.raises(ValueError):
+        Graph(True)
     # endpoints normalize low-high but the listing order is preserved
     g = Graph(5, ((3, 2), (4, 2), (2, 1), (4, 1), (4, 3), (5, 4)))
     assert g.edges == ((2, 3), (2, 4), (1, 2), (1, 4), (3, 4), (4, 5))

@@ -188,6 +188,8 @@ def test_parse_report_rejects_non_reports():
         report_chains({"command": "align"})
     with pytest.raises(InputError):
         report_chains({"chains": [{"name": "a", "vertices": [[1, 2]]}]})
+    with pytest.raises(InputError):  # an integer beyond floats
+        report_chains({"chains": [{"name": "a", "vertices": [[10**400, 0, 0]]}]})
     with pytest.raises(InputError):
         report_walk({"command": "align"}, 2)
     with pytest.raises(InputError):

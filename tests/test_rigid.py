@@ -303,8 +303,17 @@ search_configs = st.builds(
 @given(chains(grid_coord), chains(grid_coord), st.sampled_from([0.0, 0.5, 1.0, 1.5]),
        search_configs)
 @example(*planted_pair(random.Random(127), 6), 1e-6, SearchConfig("triples", 40))
+@example(
+    chain_from_coords("a", [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 1), (-2, 2, 2)]),
+    chain_from_coords("b", [(-0.0, -0.0, 0), (1, -0.0, -0.0), (2, 1, -0.0), (-2, -2, -0.0),
+                            (0, -1, 2)]),
+    0.5, SearchConfig("triples", 40),
+)
 def test_search_equals_oracle_on_grid_chains(a, b, delta, config):
-    # grid chains have many equal-valued candidates, of which the earliest wins
+    # grid chains have many equal-valued candidates, of which the earliest
+    # wins; in the second example b holds -0.0 coordinates, which moving by
+    # the identity turns into 0.0, and the identity wins over 10 candidates
+    # with the alignment of the chains as given
     assert_search_equals_oracle(a, b, delta, config)
 
 
@@ -353,8 +362,9 @@ def test_ceiling_stop_mid_chunk():
             found, result = plsa_rigid_pair(a, b, delta, config)
         assert (found, result) == oracle_rigid_pair(a, b, delta, config)
         assert found == stream[p] and result.value == ceiling
-        # the chunk holding the winner was moved, and nothing after it
-        assert moved == stream[:(p // k + 1) * k]
+        # the identity alone, then the chunk holding the winner was moved,
+        # and nothing after it
+        assert moved == [RigidMotion.identity(), *stream[:(p // k + 1) * k]]
 
 
 def test_ceiling_stop_superposes_at_most_one_chunk_of_small_chains():
@@ -367,8 +377,21 @@ def test_ceiling_stop_superposes_at_most_one_chunk_of_small_chains():
         motion, result = plsa_rigid_pair(a, b, 0.5, config)
     assert (motion, result) == oracle_rigid_pair(a, b, 0.5, config)
     assert result.value == 2
-    assert len(moved) == rigid.SCORE_MOTIONS < config.budget
-    assert moved == list(enumerate_candidate_motions(a, b, 0.5, config))[:len(moved)]
+    assert moved[0] == RigidMotion.identity()
+    assert len(moved) - 1 == rigid.SCORE_MOTIONS < config.budget
+    assert moved[1:] == list(enumerate_candidate_motions(a, b, 0.5, config))[:len(moved) - 1]
+    # b's vertex within delta of a's: the identity reaches the ceiling, and
+    # the stream is never read
+    b = chain_from_coords("b", [(0.0, 0.25, 0.0)])
+
+    def unread(*args):
+        raise AssertionError("the stream was read")
+        yield
+
+    with recorded_moves() as moved, mock.patch.object(rigid, "enumerate_candidate_motions", unread):
+        found = plsa_rigid_pair(a, b, 0.5, config)
+    assert found == (RigidMotion.identity(), plsa_static_pair_fast(a, b, 0.5))
+    assert found[1].value == 2 and moved == [RigidMotion.identity()]
 
 
 def seeded_kernel_inputs(test):
@@ -409,7 +432,10 @@ def test_no_dp_for_a_candidate_that_cannot_win(a, b, delta, config):
 
     with mock.patch.object(rigid, "_pair_kernel", kernel):
         _, result = plsa_rigid_pair(a, b, delta, config)
-    best = plsa_static_pair_fast(a, b, delta).value
+    # the first DP is the identity's, which always runs
+    assert values[0] == (_valid_cells(a.as_array(), b.as_array(), delta).size,
+                         plsa_static_pair_fast(a, b, delta).value)
+    best = -1
     for size, value in values:
         assert 2 * size > best
         best = max(best, value)
@@ -433,28 +459,30 @@ def counted_search(a, b, delta, config):
     return found, values, (full.call_count, move.call_count)
 
 
-def test_only_the_identity_and_the_winner_are_aligned_in_full():
-    # two strict gains over the identity: the winner alone is moved and
-    # aligned again
+def test_only_the_winner_is_aligned_in_full():
+    # the identity is scored by the DP like every candidate; after two strict
+    # gains over it, the winner alone is moved and aligned in full
     a, b = protein_like_pair(random.Random(131), 100)
     config = SearchConfig(mode="triples", budget=300)
     found, values, calls = counted_search(a, b, 1.5, config)
-    best, gains = plsa_static_pair_fast(a, b, 1.5).value, 0
-    for value in values:
+    assert values[0] == plsa_static_pair_fast(a, b, 1.5).value
+    best, gains = values[0], 0
+    for value in values[1:]:
         if value > best:
             best, gains = value, gains + 1
     assert gains >= 2 and found[1].value == best
-    assert calls == (2, 1)
+    assert calls == (1, 1)
     # candidates scored, and some tie the identity, but none beats it: the
-    # identity's alignment is the result and no chain is moved whole
+    # identity wins, and is moved and aligned in full once
     rng = random.Random(38)
     a, b = rand_chain(rng, "a", 8, hi=3.0), rand_chain(rng, "b", 8, hi=3.0)
     config = SearchConfig(mode="triples", budget=20)
     found, values, calls = counted_search(a, b, 0.8, config)
     identity = plsa_static_pair_fast(a, b, 0.8)
     assert found == (RigidMotion.identity(), identity)
-    assert values and max(values) == identity.value < len(a) + len(b)
-    assert calls == (1, 0)
+    assert values[0] == max(values) == identity.value < len(a) + len(b)
+    assert values.count(identity.value) > 1
+    assert calls == (1, 1)
 
 
 def assert_scan_equals_oracle(a, b, data):
