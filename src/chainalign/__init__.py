@@ -7,8 +7,6 @@ chain, and it can build graph-derived instance families whose optimal
 alignment value equals a maximum independent set.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .chainio import (
     ChainDocument,
     parse_chain_file,
@@ -80,10 +78,19 @@ from .reduction import (
 from .report import RunReport, emit_alignment_svg, emit_report, parse_report
 from .rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
 
-try:
-    __version__ = version("artifact")
-except PackageNotFoundError:
-    __version__ = "0.0.0"
+
+def __getattr__(name: str) -> str:
+    # __version__ is looked up on first use, so importing the package does
+    # not load importlib.metadata
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version("artifact")
+    except PackageNotFoundError:
+        return "0.0.0"
+
 
 __all__ = [
     "AlignmentResult",

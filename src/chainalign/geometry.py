@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +17,7 @@ __all__ = [
     "Chain3D",
     "RigidMotion",
     "apply_motion",
+    "check_motions",
     "move_array_stack",
     "motion_from_triples",
     "superpose",
@@ -119,39 +119,60 @@ class RigidMotion:
         t = np.asarray(self.translation, dtype=float)
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")
+        check_motions(r[None], t[None])
         # stored as plain nested tuples so instances hash/compare cleanly;
         # tolist() gives the floats float(v) would
-        rotation, translation = tuple(map(tuple, r.tolist())), tuple(t.tolist())
-        if not all(map(math.isfinite, itertools.chain(*rotation, translation))):
-            raise ValueError("rigid motion components must be finite")
-        if np.abs(r @ r.T - _EYE3).max() > ORTHONORMAL_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
-            raise ValueError("rotation determinant is not +1 (improper motion)")
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "rotation", tuple(map(tuple, r.tolist())))
+        object.__setattr__(self, "translation", tuple(t.tolist()))
 
     @staticmethod
     def identity() -> "RigidMotion":
         return RigidMotion(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0))
 
 
-def move_array_stack(motions: Sequence[RigidMotion], arr: np.ndarray) -> np.ndarray:
+def check_motions(rotations: np.ndarray, translations: np.ndarray) -> None:
+    """Check a stack of (k, 3, 3) rotations and (k, 3) translations.
+
+    Each row must be finite, orthonormal within ORTHONORMAL_TOL and of
+    determinant +1 within it, tested in that order.  The first row that is
+    not raises the ValueError that RigidMotion raises for it alone, which
+    runs this check on a stack of one.
+    """
+    finite = np.isfinite(rotations).all(axis=(1, 2)) & np.isfinite(translations).all(axis=1)
+    # a row that is not finite fails before these tests are read
+    with np.errstate(invalid="ignore"):
+        skew = rotations @ np.swapaxes(rotations, 1, 2) - _EYE3
+        skewed = np.abs(skew).max(axis=(1, 2)) > ORTHONORMAL_TOL
+        improper = np.abs(np.linalg.det(rotations) - 1.0) > ORTHONORMAL_TOL
+    bad = ~finite | skewed | improper
+    if bad.any():
+        m = int(bad.argmax())
+        if not finite[m]:
+            raise ValueError("rigid motion components must be finite")
+        if skewed[m]:
+            raise ValueError("rotation is not orthonormal")
+        raise ValueError("rotation determinant is not +1 (improper motion)")
+
+
+def move_array_stack(
+    rotations: np.ndarray, translations: np.ndarray, arr: np.ndarray
+) -> np.ndarray:
     """An (n, 3) coordinate array moved by each of k motions, in one product.
 
-    Copy c of the (k, n, 3) result is arr @ R.T + t for the rotation R and
-    translation t of motions[c]; a copy's floats do not depend on the other
-    motions of the stack.
+    rotations is a (k, 3, 3) stack and translations a (k, 3) one.  Copy c of
+    the (k, n, 3) result is arr @ R.T + t for R = rotations[c] and
+    t = translations[c]; a copy's floats do not depend on the other motions
+    of the stack.
     """
-    rotations = np.array([m.rotation for m in motions])
-    translations = np.array([m.translation for m in motions])
     return arr @ np.swapaxes(rotations, 1, 2) + translations[:, None]
 
 
 def apply_motion(motion: RigidMotion, chain: Chain3D) -> Chain3D:
     """Return a copy of the chain moved by ``motion`` (same id, same order),
-    with the floats of move_array_stack([motion], chain.as_array())[0]."""
-    moved = move_array_stack([motion], chain.as_array())[0]
+    with the floats move_array_stack gives for a stack of that one motion."""
+    moved = move_array_stack(
+        np.array([motion.rotation]), np.array([motion.translation]), chain.as_array()
+    )[0]
     return Chain3D(chain.id, tuple(Point3(x, y, z) for x, y, z in moved.tolist()))
 
 

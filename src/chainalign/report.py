@@ -17,12 +17,12 @@ with str.replace, which is safe because number tokens hold no ",", "[" or
 
 from __future__ import annotations
 
+import html
 import json
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -268,7 +268,7 @@ def emit_alignment_svg(
     for c, xy in enumerate(flat):
         color = _PALETTE[c % len(_PALETTE)]
         coords = " ".join(f"{place(p)[0]:.3f},{place(p)[1]:.3f}" for p in xy)
-        parts.append(f"<g><title>{escape(chains[c].id or f'chain {c}')}</title>")
+        parts.append(f"<g><title>{html.escape(chains[c].id or f'chain {c}', quote=False)}</title>")
         parts.append(
             f'<polyline class="chain" points="{coords}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>'

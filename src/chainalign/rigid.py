@@ -28,6 +28,7 @@ from .geometry import (
     Chain3D,
     RigidMotion,
     apply_motion,
+    check_motions,
     move_array_stack,
     superpose,
     triangle_area,
@@ -117,6 +118,60 @@ def enumerate_candidate_motions(
     yields rotations drawn uniformly with a translation matching a random
     b-vertex to a random a-vertex.
 
+    The motions are the rows of the (rotations, translations) blocks that
+    plsa_rigid_pair reads (_motion_blocks), one RigidMotion each, so each is
+    checked as it is built.  The stream is deterministic for a fixed
+    (a, b, delta, config).
+    """
+    for rotations, translations in _candidate_arrays(a, b, delta, config, 1):
+        for r, t in zip(rotations.tolist(), translations.tolist()):
+            yield RigidMotion(r, t)
+
+
+def _motion_blocks(
+    a: Chain3D, b: Chain3D, delta: float, config: SearchConfig, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The candidate stream as checked (k, 3, 3) rotation and (k, 3)
+    translation blocks of exactly size motions, in stream order; only the
+    last block may hold fewer.
+
+    Each block passes geometry.check_motions, once, before it is yielded,
+    so a row that is not a proper rigid motion raises the error its
+    RigidMotion would raise, before any motion of its block is read.
+    """
+    pieces, held = [], 0
+    for rotations, translations in _candidate_arrays(a, b, delta, config, size):
+        while len(rotations):
+            take = size - held
+            pieces.append((rotations[:take], translations[:take]))
+            held += len(pieces[-1][0])
+            rotations, translations = rotations[take:], translations[take:]
+            if held == size:
+                yield _checked(pieces)
+                pieces, held = [], 0
+    if pieces:
+        yield _checked(pieces)
+
+
+def _checked(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One block from consecutive (rotations, translations) pieces, checked."""
+    rotations, translations = (
+        np.concatenate(part) if len(pieces) > 1 else part[0] for part in zip(*pieces)
+    )
+    check_motions(rotations, translations)
+    return rotations, translations
+
+
+def _candidate_arrays(
+    a: Chain3D, b: Chain3D, delta: float, config: SearchConfig, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The candidate stream as unchecked (rotations, translations) blocks.
+
+    Random mode draws size motions per block, each as rotation, a-vertex,
+    b-vertex from one random.Random, and moves b's vertices by the stacked
+    rotations.  The triples scan yields the finite rows of each superpose
+    call.
+
     The triples scan computes a's math.dist edge lengths as it reads them
     and keeps b's, the same floats, in one array of its edges j < k.  It
     tests all b-triples of one a-triple with numpy, in buffers it allocates
@@ -125,11 +180,10 @@ def enumerate_candidate_motions(
     chain of fewer than 3 vertices it yields nothing and allocates nothing;
     a chain of n vertices with n * n over PAIR_CELL_LIMIT raises TooLarge
     before anything is allocated.  The hits of one a-triple are taken len(b)
-    at a time; those whose b-triple is not degenerate, at most as many as
-    the budget still needs, are superposed in one geometry.superpose call,
-    and one whose superposition overflows is skipped like a degenerate one.
-
-    The stream is deterministic for a fixed (a, b, delta, config).
+    at a time and tested for degeneracy in numpy (_not_degenerate); those
+    that are not degenerate, at most as many as the budget still needs, are
+    superposed in one geometry.superpose call, and one whose superposition
+    overflows is skipped like a degenerate one.
     """
     check_threshold(delta)
     tol = config.prune_tolerance if config.prune_tolerance is not None else 2.0 * delta
@@ -137,13 +191,15 @@ def enumerate_candidate_motions(
     if config.mode == "random":
         rng = random.Random(config.seed)
         pa, pb = a.as_array(), b.as_array()
-        for _ in range(config.budget):
-            rot = _random_rotation(rng)
-            i = rng.randrange(len(pa))
-            j = rng.randrange(len(pb))
-            moved = np.asarray(rot) @ pb[j]
-            t = tuple(float(v) for v in (pa[i] - moved))
-            yield RigidMotion(rot, t)
+        for start in range(0, config.budget, size):
+            rots, ia, jb = [], [], []
+            for _ in range(min(size, config.budget - start)):
+                rots.append(_random_rotation(rng))
+                ia.append(rng.randrange(len(pa)))
+                jb.append(rng.randrange(len(pb)))
+            rotations = np.array(rots)
+            # each row is the (3, 3) @ (3,) product of one draw
+            yield rotations, pa[ia] - (rotations @ pb[jb][:, :, None])[:, :, 0]
         return
 
     pa, pb = a.points, b.points
@@ -173,6 +229,9 @@ def enumerate_candidate_motions(
         return out
 
     arr_a, arr_b = a.as_array(), b.as_array()
+    # numpy's arithmetic is triangle_area's on float coordinates only; a
+    # chain with an int coordinate is tested one triple at a time
+    floats = all(type(x) is float for p in pb for x in p)
     produced = 0
     # a-triples (i0, i1, i2) in lexicographic order; the b-pairs (j0, j1)
     # that match the first edge are shared by every i2
@@ -184,37 +243,60 @@ def enumerate_candidate_motions(
             near(math.dist(pa[i0], pa[i2]), near02)
             near(math.dist(pa[i1], pa[i2]), near12)
             # len(pb) b-pairs at a time, so a block is no larger than a mask,
-            # and its hits made Python ints len(pb) at a time, so a budget
-            # stop converts only the slice it reads
+            # and its hits tested len(pb) at a time
             for s in range(0, len(j0), len(pb)):
                 b0, b1 = j0[s:s + len(pb)], j1[s:s + len(pb)]
                 rows, j2 = np.nonzero(near02[b0] & near12[b1])
                 for h in range(0, len(rows), len(pb)):
-                    r, c = rows[h:h + len(pb)], j2[h:h + len(pb)]
+                    r = rows[h:h + len(pb)]
                     # near() decided abs(x - y) > tol on the math.dist floats
                     # motion_from_triples compares, for all three edges, so
                     # its congruence test passes every hit and only the
-                    # b-triple's degeneracy is left to test; like its
-                    # area <= tol, a NaN area (inf - inf in the cross
-                    # product) is not degenerate
-                    live = [
-                        k for k in zip(b0[r].tolist(), b1[r].tolist(), c.tolist())
-                        if not triangle_area(pb[k[0]], pb[k[1]], pb[k[2]]) <= DEGENERATE_AREA_TOL
-                    ]
-                    while live:
+                    # b-triple's degeneracy is left to test
+                    hits = np.stack((b0[r], b1[r], j2[h:h + len(pb)]), axis=1)
+                    if floats:
+                        live = hits[_not_degenerate(arr_b[hits])]
+                    else:
+                        live = hits[[
+                            not triangle_area(pb[u], pb[v], pb[w]) <= DEGENERATE_AREA_TOL
+                            for u, v, w in hits.tolist()
+                        ]]
+                    while len(live):
                         need = config.budget - produced
-                        # an integer (m, 3) index array gives the (m, 3, 3)
-                        # stack on every numpy (a list of tuples may not)
-                        rot, t = superpose(arr_b[np.array(live[:need])], arr_a[[i0, i1, i2]][None])
+                        rot, t = superpose(arr_b[live[:need]], arr_a[[i0, i1, i2]][None])
                         live = live[need:]
                         # a superposition that overflows is skipped like a
                         # degenerate triple
                         ok = np.isfinite(t).all(axis=1)
-                        for rc, tc in zip(rot[ok].tolist(), t[ok].tolist()):
-                            produced += 1
-                            yield RigidMotion(rc, tc)
+                        if ok.any():
+                            produced += int(ok.sum())
+                            yield rot[ok], t[ok]
                         if produced >= config.budget:
                             return
+
+
+def _not_degenerate(triples: np.ndarray) -> np.ndarray:
+    """not triangle_area(*triple) <= DEGENERATE_AREA_TOL for each triple of
+    an (m, 3, 3) stack of float points.
+
+    The cross product is triangle_area's, component by component, so its
+    floats are the same; np.linalg.norm may sum its squares in another
+    order, so an area within a millionth of the tolerance is decided again
+    by triangle_area.  Like its area <= tol, a NaN area (inf - inf in the
+    cross product) is not degenerate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = triples[:, 1] - triples[:, 0]
+        v = triples[:, 2] - triples[:, 0]
+        c0 = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+        c1 = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+        c2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        area = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        unsure = np.abs(area - DEGENERATE_AREA_TOL) <= 1e-6 * DEGENERATE_AREA_TOL
+    keep = ~(area <= DEGENERATE_AREA_TOL)
+    for m in np.flatnonzero(unsure).tolist():
+        keep[m] = not triangle_area(*triples[m].tolist()) <= DEGENERATE_AREA_TOL
+    return keep
 
 
 def _edge_lengths(points: tuple) -> np.ndarray:
@@ -238,14 +320,16 @@ def plsa_rigid_pair(
     scored with the value of the static pair alignment of (a, moved b);
     strictly larger values replace the incumbent, so ties keep the earliest
     motion and the identity is the floor.  The incumbent is a value and a
-    motion; only the winner is moved with apply_motion, whose floats are the
-    scored ones, and aligned in full, once per search.  Stops early when a
-    motion aligns every vertex of both chains, so an identity that does
+    row of a chunk's arrays; only the winner becomes a RigidMotion, built
+    from that row's floats, and is moved with apply_motion, whose floats are
+    the scored ones, and aligned in full, once per search.  Stops early when
+    a motion aligns every vertex of both chains, so an identity that does
     never advances the stream.  The returned alignment indexes the original
     chains; its polylines refer to b after the motion.
 
-    Candidates are scored in chunks of k motions taken from the stream in
-    order, k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  One
+    Candidates are scored in chunks of k motions, the checked
+    (rotations, translations) blocks of _motion_blocks in stream order,
+    k = SCORE_CELLS // (|a| |b|) clamped to [1, SCORE_MOTIONS].  One
     move_array_stack product moves b's array by all k motions, the k moved
     copies are put side by side, and one _valid_cells call lists the cells
     of all of them; a stable sort by candidate splits that list into each
@@ -264,38 +348,41 @@ def plsa_rigid_pair(
     best, winner = -1, None
     pa, pb = a.as_array(), b.as_array()
     k = max(1, min(SCORE_MOTIONS, SCORE_CELLS // (n1 * n2)))
-    stream = enumerate_candidate_motions(a, b, delta, config)
     # the identity alone, then the stream k motions at a time
     chunks = itertools.chain(
-        [[RigidMotion.identity()]], iter(lambda: list(itertools.islice(stream, k)), [])
+        [(np.eye(3)[None], np.zeros((1, 3)))], _motion_blocks(a, b, delta, config, k)
     )
-    while best < ceiling and (chunk := next(chunks, None)):
-        cells, bounds = _chunk_cells(pa, pb, chunk, delta)
-        for c, motion in enumerate(chunk):
+    while best < ceiling and (chunk := next(chunks, None)) is not None:
+        rotations, translations = chunk
+        cells, bounds = _chunk_cells(pa, pb, rotations, translations, delta)
+        for c in range(len(rotations)):
             s, e = bounds[c], bounds[c + 1]
             if 2 * (e - s) <= best:
                 continue
             value = _pair_kernel(cells[s:e], n1, n2)[0]
             if value > best:
-                best, winner = value, motion
+                best, winner = value, (rotations[c], translations[c])
                 if best == ceiling:
                     break
-    return winner, plsa_static_pair_fast(a, apply_motion(winner, b), delta)
+    motion = RigidMotion(winner[0].tolist(), winner[1].tolist())
+    return motion, plsa_static_pair_fast(a, apply_motion(motion, b), delta)
 
 
 def _chunk_cells(
-    pa: np.ndarray, pb: np.ndarray, motions: list[RigidMotion], delta: float
+    pa: np.ndarray, pb: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
+    delta: float,
 ) -> tuple[np.ndarray, list[int]]:
-    """The valid cells of (a, b moved by each motion), from one _valid_cells
-    call on the moved copies of b side by side, which one move_array_stack
-    product makes.
+    """The valid cells of (a, b moved by each of k motions), from one
+    _valid_cells call on the moved copies of b side by side, which one
+    move_array_stack product of the (k, 3, 3) rotations and (k, 3)
+    translations makes.
 
     Returns (cells, bounds): the c-th motion's cells, as the ascending flat
     indices i * |b| + j that _valid_cells gives for that copy alone, are
     cells[bounds[c]:bounds[c + 1]].
     """
-    n2, k = len(pb), len(motions)
-    moved = move_array_stack(motions, pb).reshape(k * n2, 3)
+    n2, k = len(pb), len(rotations)
+    moved = move_array_stack(rotations, translations, pb).reshape(k * n2, 3)
     flat = _valid_cells(pa, moved, delta)
     i, col = np.divmod(flat, k * n2)
     cand, j = np.divmod(col, n2)

@@ -19,6 +19,7 @@ from chainalign.geometry import (
     RigidMotion,
     apply_motion,
     chain_from_coords,
+    check_motions,
     motion_from_triples,
     move_array_stack,
     superpose,
@@ -53,6 +54,12 @@ def random_motion(rng):
         rng.uniform(0, 2 * math.pi),
     )
     return RigidMotion(rot, (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5)))
+
+
+def moved_by(motions, arr):
+    # move_array_stack on the stacked arrays of a list of RigidMotions
+    rotations = np.array([m.rotation for m in motions])
+    return move_array_stack(rotations, np.array([m.translation for m in motions]), arr)
 
 
 def test_dist_matches_decimal_oracle():
@@ -151,7 +158,7 @@ def test_apply_motion_floats_equal_the_moved_array():
     for c in chains:
         for motion in (RigidMotion.identity(), random_motion(rng)):
             moved = apply_motion(motion, c).as_array()
-            assert moved.tobytes() == move_array_stack([motion], c.as_array())[0].tobytes()
+            assert moved.tobytes() == moved_by([motion], c.as_array())[0].tobytes()
 
 
 def test_rigid_motion_validation():
@@ -178,6 +185,37 @@ def test_rigid_motion_validation():
             RigidMotion(rotation, translation)
     # within ORTHONORMAL_TOL of a rotation is accepted
     RigidMotion(((1, 1e-10, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_check_motions_fails_on_the_row_rigid_motion_fails_on(k):
+    # one row m of a stack of proper motions is made non-finite, not
+    # orthonormal or a reflection; the stack raises RigidMotion's error for
+    # that row, and a stack with an earlier bad row raises that row's error
+    rng = random.Random(31)
+    broken = [
+        (lambda r, t: t.__setitem__(1, math.nan), "components must be finite"),
+        (lambda r, t: r.__setitem__((2, 0), math.inf), "components must be finite"),
+        (lambda r, t: r.__setitem__((0, 1), r[0, 1] + 1e-8), "rotation is not orthonormal"),
+        (lambda r, t: r.__setitem__(2, -r[2]), r"determinant is not \+1"),
+    ]
+    for m in range(k):
+        for breaks, message in broken:
+            motions = [random_motion(rng) for _ in range(k)]
+            rotations = np.array([x.rotation for x in motions])
+            translations = np.array([x.translation for x in motions])
+            check_motions(rotations, translations)
+            breaks(rotations[m], translations[m])
+            with pytest.raises(ValueError, match=message) as stacked:
+                check_motions(rotations, translations)
+            with pytest.raises(ValueError) as alone:
+                RigidMotion(rotations[m].tolist(), translations[m].tolist())
+            assert str(stacked.value) == str(alone.value)
+            if m + 1 < k:
+                # a later reflection does not hide row m's error
+                rotations[m + 1, 2] *= -1.0
+                with pytest.raises(ValueError, match=message):
+                    check_motions(rotations, translations)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -377,7 +415,7 @@ def test_superpose_equals_one_pair_at_a_time(kind, k, p, target, data):
         dst = data.draw(point_stacks(kind, 1, p))
     else:
         motion = random_motion(random.Random(data.draw(st.integers(0, 2**32))))
-        dst = move_array_stack([motion], src.reshape(-1, 3))[0].reshape(src.shape)
+        dst = moved_by([motion], src.reshape(-1, 3))[0].reshape(src.shape)
         if target == "mirrored":
             dst[..., 0] *= -1.0
     r, t = superpose(src, dst)
@@ -416,7 +454,7 @@ def test_move_array_stack_equals_move_array(k, n, seed):
     rng = random.Random(seed)
     motions = [random_motion(rng) for _ in range(k)]
     arr = np.array([[rng.uniform(-50, 50) for _ in range(3)] for _ in range(n)])
-    moved = move_array_stack(motions, arr)
+    moved = moved_by(motions, arr)
     assert moved.shape == (k, n, 3)
     for c, motion in enumerate(motions):
-        assert moved[c].tobytes() == move_array_stack([motion], arr)[0].tobytes()
+        assert moved[c].tobytes() == moved_by([motion], arr)[0].tobytes()

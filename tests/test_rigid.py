@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from chainalign import rigid
 from chainalign.errors import InvalidThreshold, NegativeDelta, TooLarge
 from chainalign.geometry import (
-    DEGENERATE_AREA_TOL, RigidMotion, apply_motion, chain_from_coords, superpose, triangle_area,
+    DEGENERATE_AREA_TOL, Chain3D, Point3, RigidMotion, apply_motion, chain_from_coords, superpose,
+    triangle_area,
 )
 from chainalign.oracles import superpose_one
 from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
@@ -185,12 +186,32 @@ def motion_bits(motions):
     return [tuple(map(float.hex, itertools.chain(*m.rotation, m.translation))) for m in motions]
 
 
+def block_bits(a, b, delta, config, size):
+    # the search's checked blocks, flattened: every block but the last holds
+    # exactly size motions
+    blocks = list(rigid._motion_blocks(a, b, delta, config, size))
+    assert all(len(r) == len(t) == size for r, t in blocks[:-1])
+    assert all(0 < len(r) == len(t) <= size for r, t in blocks[-1:])
+    return [
+        tuple(map(float.hex, itertools.chain(*r, t)))
+        for rotations, translations in blocks
+        for r, t in zip(rotations.tolist(), translations.tolist())
+    ]
+
+
 def stream_equals_oracle(a, b, tol, budget):
-    # the same triples superposed, and the same motions, bit for bit
+    # the same triples superposed, and the same motions, bit for bit, as
+    # RigidMotions and as the search's blocks
     motions, superposed = triples_stream(a, b, tol, budget)
     expected, expected_superposed = oracle_triples_stream(a, b, tol, budget)
-    assert superposed == expected_superposed
+    # superposed as floats, like int coordinates in superpose_one
+    assert superposed == [
+        tuple(point_triples(np.array(pair, dtype=float))) for pair in expected_superposed
+    ]
     assert motion_bits(motions) == motion_bits(expected)
+    config = SearchConfig(mode="triples", budget=budget, prune_tolerance=tol)
+    for size in (1, 7, rigid.SCORE_MOTIONS):
+        assert block_bits(a, b, 1.0, config, size) == motion_bits(expected)
     return motions, superposed
 
 
@@ -254,10 +275,30 @@ def oracle_rigid_pair(a, b, delta, config):
     return best_motion, best
 
 
+def oracle_random_stream(a, b, config):
+    """Random mode one draw at a time: a rotation, an a-vertex and a
+    b-vertex, and the translation of that one (3, 3) @ (3,) product."""
+    rng = random.Random(config.seed)
+    pa, pb = a.as_array(), b.as_array()
+    motions = []
+    for _ in range(config.budget):
+        rot = rigid._random_rotation(rng)
+        i, j = rng.randrange(len(pa)), rng.randrange(len(pb))
+        t = pa[i] - np.asarray(rot) @ pb[j]
+        motions.append(RigidMotion(rot, tuple(float(v) for v in t)))
+    return motions
+
+
 def assert_search_equals_oracle(a, b, delta, config):
-    # the default chunks, one candidate per chunk (SCORE_CELLS of 1 and of
-    # |A| |B| cells), and chunks of 7, which budgets and ceiling stops end
-    # mid-chunk
+    # the stream as RigidMotions and as the search's blocks, bit for bit;
+    # then the search with the default chunks, one candidate per chunk
+    # (SCORE_CELLS of 1 and of |A| |B| cells), and chunks of 7, which
+    # budgets and ceiling stops end mid-chunk
+    stream = motion_bits(enumerate_candidate_motions(a, b, delta, config))
+    if config.mode == "random":
+        assert stream == motion_bits(oracle_random_stream(a, b, config))
+    for size in (1, 7, rigid.SCORE_MOTIONS):
+        assert block_bits(a, b, delta, config, size) == stream
     expected = oracle_rigid_pair(a, b, delta, config)
     assert plsa_rigid_pair(a, b, delta, config) == expected
     cells = len(a) * len(b)
@@ -325,14 +366,14 @@ def test_search_equals_oracle_on_continuous_chains(a, b, delta, config):
 
 @contextlib.contextmanager
 def recorded_moves():
-    # the motions plsa_rigid_pair moves b's array by, in order: those each
-    # chunk stacks
+    # the motions plsa_rigid_pair moves b's array by, in order: the rows of
+    # the rotation and translation arrays each chunk stacks
     moved = []
     chunk_cells = rigid._chunk_cells
 
-    def recorded(pa, pb, motions, delta):
-        moved.extend(motions)
-        return chunk_cells(pa, pb, motions, delta)
+    def recorded(pa, pb, rotations, translations, delta):
+        moved.extend(map(RigidMotion, rotations.tolist(), translations.tolist()))
+        return chunk_cells(pa, pb, rotations, translations, delta)
 
     with mock.patch.object(rigid, "_chunk_cells", recorded):
         yield moved
@@ -388,7 +429,7 @@ def test_ceiling_stop_superposes_at_most_one_chunk_of_small_chains():
         raise AssertionError("the stream was read")
         yield
 
-    with recorded_moves() as moved, mock.patch.object(rigid, "enumerate_candidate_motions", unread):
+    with recorded_moves() as moved, mock.patch.object(rigid, "_motion_blocks", unread):
         found = plsa_rigid_pair(a, b, 0.5, config)
     assert found == (RigidMotion.identity(), plsa_static_pair_fast(a, b, 0.5))
     assert found[1].value == 2 and moved == [RigidMotion.identity()]
@@ -524,6 +565,28 @@ def test_triples_scan_equals_oracle_with_overflowing_edges():
     assert motions
 
 
+def test_random_search_equals_oracle_at_protein_scale():
+    # the stacked draws move b's vertices by the one-draw floats
+    a, b = protein_like_pair(random.Random(131), 100)
+    assert_search_equals_oracle(a, b, 1.5, SearchConfig(mode="random", budget=300, seed=7))
+
+
+def test_a_triples_search_builds_one_rigid_motion():
+    # candidates are rows of checked arrays; only the winner is a RigidMotion
+    built = []
+    post_init = RigidMotion.__post_init__
+
+    def counted(motion):
+        built.append(motion)
+        post_init(motion)
+
+    a, b = protein_like_pair(random.Random(131), 100)
+    with mock.patch.object(RigidMotion, "__post_init__", counted):
+        motion, result = plsa_rigid_pair(a, b, 1.5, SearchConfig(mode="triples", budget=300))
+    assert built == [motion] and built[0] is motion
+    assert result.value > plsa_static_pair_fast(a, b, 1.5).value
+
+
 def test_triples_scan_equals_oracle_with_a_nan_area():
     # e * e overflows, so the cross product of the b-triple's edges is
     # inf - inf = nan and so is its area.  NaN is not <= the degeneracy
@@ -538,6 +601,72 @@ def test_triples_scan_equals_oracle_with_a_nan_area():
         motions, superposed = stream_equals_oracle(a, b, 0.5, 10**9)
     assert superposed == [(b.points, a.points)]
     assert len(motions) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_search_equals_oracle(a, b, 0.5, SearchConfig("triples", 10))
+
+
+def test_scan_and_search_equal_oracle_with_int_coordinates():
+    # b's first three vertices are collinear in exact integers, which
+    # triangle_area keeps exact, but not once rounded to floats: 2**53 + 1
+    # becomes 2**53 and 3 * (2**53 + 1) becomes 3 * 2**53 + 4, an area of 2.
+    # So a chain with an int coordinate is tested one triple at a time.
+    big = 2**53 + 1
+    b = Chain3D("b", (Point3(0, 0, 0), Point3(big, 1, 0), Point3(3 * big, 3, 0), Point3(1, 2, 3)))
+    a = chain_from_coords("a", [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5)])
+    assert triangle_area(*b.points[:3]) <= DEGENERATE_AREA_TOL
+    assert rigid._not_degenerate(b.as_array()[None, :3])[0]
+    motions, superposed = stream_equals_oracle(a, b, 1e300, 10**9)
+    first = tuple(map(tuple, b.as_array()[:3].tolist()))
+    assert superposed and all(src != first for src, _ in superposed)
+    assert_search_equals_oracle(a, b, 0.5, SearchConfig("triples", 100, prune_tolerance=1e300))
+
+
+def tolerance_triangles():
+    # a tilted triangle scaled to the degeneracy tolerance: the last scale
+    # whose triangle_area is not above it, and the next float, whose area
+    # is; one ulp apart, so np.linalg.norm's order of sums decides them (a
+    # left-to-right sum of the squares puts the second at the tolerance)
+    base = np.array([[0.0, 0.0, 0.0], [-0.2, 0.7, -0.8], [-0.6, 0.3, 0.9]])
+    scale = math.sqrt(DEGENERATE_AREA_TOL / triangle_area(*base.tolist()))
+
+    def area(x):
+        return triangle_area(*(base * x).tolist())
+
+    while area(scale) > DEGENERATE_AREA_TOL:
+        scale = math.nextafter(scale, 0.0)
+    while area(math.nextafter(scale, 1.0)) <= DEGENERATE_AREA_TOL:
+        scale = math.nextafter(scale, 1.0)
+    return base * scale, base * math.nextafter(scale, 1.0)
+
+
+def test_scan_and_search_equal_oracle_at_the_degeneracy_tolerance():
+    # right triangles of legs 1 and y, whose area is y / 2 exactly: one ulp
+    # below, at and one ulp above the tolerance; and tilted triangles one
+    # ulp either side of it, whose cross products have three components
+    y = 2 * DEGENERATE_AREA_TOL
+    right = [(0, 0, 0), (1, 0, 0)] + [(0, v, 0) for v in
+                                      (math.nextafter(y, 0), y, math.nextafter(y, 1))]
+    tilted = [tuple(p) for t in tolerance_triangles() for p in t.tolist()[1:]]
+    for b in (chain_from_coords("b", right), chain_from_coords("b", [(0, 0, 0), *tilted])):
+        kept = [not triangle_area(*t) <= DEGENERATE_AREA_TOL
+                for t in itertools.combinations(b.points, 3)]
+        assert any(kept) and not all(kept)
+        a = chain_from_coords("a", [(0, 0, 0), (0, 1, 0), (0, 0, 1e-9), (0, 3e-9, 0), (4, 4, 4)])
+        stream_equals_oracle(a, b, 1e9, 10**9)
+        assert_search_equals_oracle(a, b, 0.5, SearchConfig("triples", 40, prune_tolerance=1e9))
+
+
+@fixed_examples
+@given(st.lists(st.tuples(real_coord, real_coord, real_coord), min_size=3, max_size=3),
+       st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4, 1.0]))
+def test_not_degenerate_equals_triangle_area(points, scale):
+    # the scan's numpy test decides what triangle_area decides, also one
+    # ulp either side of the tolerance
+    stack = np.array([points, *tolerance_triangles()]) * np.array([scale, 1.0, 1.0])[:, None, None]
+    expected = [not triangle_area(*t) <= DEGENERATE_AREA_TOL for t in stack.tolist()]
+    assert rigid._not_degenerate(stack).tolist() == expected
+    assert expected[1:] == [False, True]
 
 
 def test_search_skips_an_overflowing_superposition():
@@ -576,10 +705,10 @@ def test_first_triples_candidate_needs_little_memory():
 
 def test_triples_scan_allocates_no_table_sized_temporaries():
     # the b table of edges j < k (4 MB) and near()'s buffers stay, nothing
-    # table-sized is allocated per test, and a block's hits become Python
-    # ints |B| at a time: 15.5 MB traced, against 19.0 MB when all 33 231
-    # hits of the first block were converted at once and 35.0 MB when every
-    # test built |B| x |B| temporaries beside both chains' (n, n) tables
+    # table-sized is allocated per test, and a block's hits are tested |B|
+    # at a time: 15.6 MB traced, against 19.0 MB when all 33 231 hits of the
+    # first block were made Python ints at once and 35.0 MB when every test
+    # built |B| x |B| temporaries beside both chains' (n, n) tables
     rng = random.Random(137)
     a = rand_chain(rng, "a", 1000)
     b = rand_chain(rng, "b", 1000)
