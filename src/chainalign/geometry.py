@@ -36,19 +36,24 @@ _EYE3 = np.eye(3)
 
 
 class Point3(tuple):
-    """A point in R^3 with finite coordinates.
+    """A point in R^3 with finite float coordinates.
 
     The point is the ``(x, y, z)`` tuple itself, so ``math.dist`` and numpy
-    read it without conversion, and it compares equal to that tuple.
+    read it without conversion, and it compares equal to that tuple.  An int
+    coordinate is stored as the float it rounds to.
     """
 
     __slots__ = ()
 
     def __new__(cls, x: float, y: float, z: float) -> "Point3":
-        for c in (x, y, z):
-            if not isinstance(c, (int, float)) or not math.isfinite(c):
-                raise ValueError(f"non-finite coordinate: {c!r}")
-        return tuple.__new__(cls, (x, y, z))
+        try:
+            for c in (x, y, z):
+                if not isinstance(c, (int, float)) or not math.isfinite(c):
+                    raise ValueError(f"non-finite coordinate: {c!r}")
+        except OverflowError:
+            # named, not printed: str() of a large enough int raises
+            raise ValueError("non-finite coordinate: an int beyond floats") from None
+        return tuple.__new__(cls, (float(x), float(y), float(z)))
 
     def __getnewargs__(self) -> Vec3:
         # copy and pickle rebuild through __new__, which takes three coordinates
@@ -64,7 +69,8 @@ class Point3(tuple):
 
 @dataclass(frozen=True)
 class Chain3D:
-    """An ordered, non-empty sequence of vertices with a text label."""
+    """An ordered, non-empty sequence of vertices with a text label; each
+    vertex is a Point3, of finite float coordinates."""
 
     id: str
     points: tuple[Point3, ...]
@@ -181,8 +187,7 @@ def triangle_area(a: Point3, b: Point3, c: Point3) -> float:
 
     The cross product of b - a and c - a is formed in Python, component by
     component in the order np.cross forms them, so the area has the floats
-    of np.cross without its per-call array handling.  Integer coordinates
-    stay exact integers up to the final conversion to float.
+    of np.cross without its per-call array handling.
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
     u0, u1, u2 = bx - ax, by - ay, bz - az

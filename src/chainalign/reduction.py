@@ -110,12 +110,12 @@ def check_edge(edge, n_vertices: int, seen: set[tuple[int, int]]) -> tuple[int, 
 
 def prime_point(index: int) -> Point3:
     """Base-layer point for a vertex index: (i, i*i, 0)."""
-    return Point3(float(index), float(index * index), 0.0)
+    return Point3(index, index * index, 0.0)
 
 
 def double_prime_point(index: int, delta: float) -> Point3:
     """Offset-layer point for a vertex index: (i, i*i, delta)."""
-    return Point3(float(index), float(index * index), float(delta))
+    return Point3(index, index * index, delta)
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ def _closest_distance(p1, q1, p2, q2) -> float | None:
     def clamp(v):
         return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
-    # each check x - x == 0 holds for an int or a finite float, and fails
-    # for inf and NaN
+    # each check x - x == 0 holds for a finite float or a Fraction, and
+    # fails for inf and NaN
     if a <= tiny and e <= tiny:
         rr = dot(r, r)
         return math.sqrt(rr) if rr - rr == 0 else None
@@ -251,15 +251,12 @@ def _closest_distance(p1, q1, p2, q2) -> float | None:
 def _segment_distance(p1, q1, p2, q2) -> float:
     """Closest distance between segments p1q1 and p2q2.
 
-    When an intermediate overflows (a float turns inf or NaN, or an int is
-    too large for a float), the same steps run again in exact rational
-    arithmetic on the four points scaled by one power of two, and the
-    distance is scaled back.  Every other input keeps its floats.
+    When an intermediate overflows (a float turns inf or NaN), the same
+    steps run again in exact rational arithmetic on the four points scaled
+    by one power of two, and the distance is scaled back.  Every other input
+    keeps its floats.
     """
-    try:
-        d = _closest_distance(p1, q1, p2, q2)
-    except OverflowError:
-        d = None
+    d = _closest_distance(p1, q1, p2, q2)
     if d is not None:
         return d
     # imported here: only overflowing inputs need it, and at start-up it
@@ -270,10 +267,9 @@ def _segment_distance(p1, q1, p2, q2) -> float:
     k = math.frexp(max(abs(c) for p in pts for c in p))[1]
     scale = Fraction(2) ** k
     d = _closest_distance(*(tuple(Fraction(c) / scale for c in p) for p in pts))
-    try:
-        return math.ldexp(d, k)
-    except OverflowError:
-        return math.inf
+    # each scaled coordinate lies in (-1, 1), so d < 4: only the last product,
+    # which is exact, can overflow, and it gives inf where ldexp(d, k) raises
+    return math.ldexp(d, k - 2) * 4.0
 
 
 def measure_reduction_properties(
@@ -285,7 +281,7 @@ def measure_reduction_properties(
     deduplicating exact coincidences), so a corrupted instance measures as
     corrupted.  Segment pairs are scanned per chain in (s, t) order and the
     first minimum is kept, but each distinct pair of segments is measured
-    once, keyed by its points and their coordinate types.
+    once, keyed by its points.
     """
     check_threshold(gap_factor, "gap_factor")
     occ: list[tuple[Label, Point3]] = []
@@ -329,16 +325,14 @@ def measure_reduction_properties(
                 break
 
     # edge chains repeat the two layers, so most segment pairs recur: each
-    # distinct pair is measured once.  A vertex key carries the coordinate
-    # types, since an int coordinate runs exact arithmetic where the float
-    # equal to it rounds.
+    # distinct pair is measured once
     min_sep, sep_wit = math.inf, None
-    vertex_ids: dict[tuple, int] = {}
+    vertex_ids: dict[Point3, int] = {}
     segment_ids: dict[tuple[int, int], int] = {}
     measured: dict[int, dict[int, float]] = {}
     for chain in inst.chains:
         pts = chain.points
-        vid = [vertex_ids.setdefault((p, *map(type, p)), len(vertex_ids)) for p in pts]
+        vid = [vertex_ids.setdefault(p, len(vertex_ids)) for p in pts]
         sid = [segment_ids.setdefault(pair, len(segment_ids)) for pair in zip(vid, vid[1:])]
         nseg = len(pts) - 1
         for s in range(nseg):
@@ -479,9 +473,7 @@ def _close_tables(targets, chains, delta: float) -> list[np.ndarray]:
     """Per chain, the boolean (len(targets), len(chain)) table of
     math.dist(target, vertex) <= delta.
 
-    One distance is computed per target and distinct vertex.  Vertices that
-    compare equal share it: math.dist reads an int coordinate as the float
-    it equals.
+    One distance is computed per target and distinct vertex.
     """
     column: dict[Point3, int] = {}
     columns = [[column.setdefault(p, len(column)) for p in chain.points] for chain in chains]

@@ -229,9 +229,6 @@ def _candidate_arrays(
         return out
 
     arr_a, arr_b = a.as_array(), b.as_array()
-    # numpy's arithmetic is triangle_area's on float coordinates only; a
-    # chain with an int coordinate is tested one triple at a time
-    floats = all(type(x) is float for p in pb for x in p)
     produced = 0
     # a-triples (i0, i1, i2) in lexicographic order; the b-pairs (j0, j1)
     # that match the first edge are shared by every i2
@@ -254,13 +251,7 @@ def _candidate_arrays(
                     # its congruence test passes every hit and only the
                     # b-triple's degeneracy is left to test
                     hits = np.stack((b0[r], b1[r], j2[h:h + len(pb)]), axis=1)
-                    if floats:
-                        live = hits[_not_degenerate(arr_b[hits])]
-                    else:
-                        live = hits[[
-                            not triangle_area(pb[u], pb[v], pb[w]) <= DEGENERATE_AREA_TOL
-                            for u, v, w in hits.tolist()
-                        ]]
+                    live = hits[_not_degenerate(arr_b[hits])]
                     while len(live):
                         need = config.budget - produced
                         rot, t = superpose(arr_b[live[:need]], arr_a[[i0, i1, i2]][None])
@@ -277,7 +268,7 @@ def _candidate_arrays(
 
 def _not_degenerate(triples: np.ndarray) -> np.ndarray:
     """not triangle_area(*triple) <= DEGENERATE_AREA_TOL for each triple of
-    an (m, 3, 3) stack of float points.
+    an (m, 3, 3) stack of points.
 
     The cross product is triangle_area's, component by component, so its
     floats are the same; np.linalg.norm may sum its squares in another

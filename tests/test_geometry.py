@@ -92,6 +92,10 @@ def test_point_rejects_non_finite():
         Point3(0.0, float("inf"), 0.0)
     with pytest.raises(ValueError):
         Point3(0.0, 0.0, "1")
+    # ints beyond floats are named, not printed
+    for big in (10**400, -10**5000):
+        with pytest.raises(ValueError, match="an int beyond floats"):
+            Point3(0.0, big, 0.0)
 
 
 def test_point_is_its_coordinate_tuple():

@@ -202,12 +202,12 @@ def test_self_crossing_chain_is_caught():
 
 
 @pytest.mark.parametrize(
-    "scale", [1.0, 1e100, 1e199, 10**200], ids=["1", "1e100", "1e199", "int-1e200"]
+    "scale", [1.0, 1e100, 1e199, 10**200], ids=["1", "1e100", "1e199", "1e200"]
 )
 def test_overflowing_self_crossing_chain_is_caught(scale):
     # segments 1 and 3 cross at every scale; at 1e100 the float products
-    # overflow to inf, at 1e199 to NaN, and at 10**200 the exact int products
-    # are too large for a float
+    # overflow to inf, at 1e199 to NaN, and the int scale 10**200 gives int
+    # coordinates, which Point3 stores as floats that overflow like 1e199's
     corners = ((0, 0), (10, 0), (3, -7), (6, 9))
     pts = tuple(Point3(x * scale, y * scale, 0.0) for x, y in corners)
     labels = tuple((i, PRIME) for i in range(1, 5))
@@ -277,28 +277,6 @@ def report_fields(report):
         v.hex() if isinstance(v, float) else v
         for v in (getattr(report, f.name) for f in dataclasses.fields(report))
     ]
-
-
-def test_measurement_keeps_int_and_float_twins_apart():
-    # the int points equal their float twins, but their segments' closest
-    # distance runs exact int arithmetic and differs in the last bits
-    quad = (
-        (714833888289, 106077387495, 657567403029),
-        (740167835907, 248393158148, 890941275915),
-        (86626416188, 813194978374, 239015928073),
-        (626570867044, 298290212567, 864254913709),
-    )
-    ints = tuple(Point3(*p) for p in quad)
-    floats = tuple(Point3(*map(float, p)) for p in quad)
-    assert ints == floats
-    assert _segment_distance(*floats) < _segment_distance(*ints)
-    labels = tuple((i, PRIME) for i in range(1, 5))
-    inst = ReductionInstance(
-        Graph(4), 0.05, (Chain3D("P0", ints), Chain3D("P1", floats)), (labels, labels)
-    )
-    report = measure_reduction_properties(inst)
-    assert report.segment_witness == ("P1", 1, 3)
-    assert report_fields(report) == report_fields(oracle_measure(inst))
 
 
 def test_gap_factor_parameter_tightens_the_check():

@@ -20,7 +20,9 @@ from chainalign.geometry import (
 )
 from chainalign.oracles import superpose_one
 from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
+from chainalign.reduction import PRIME, Graph, ReductionInstance, measure_reduction_properties
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
+from test_reduction import report_fields
 
 # fixed examples, so a run is reproducible and leaves no example database
 fixed_examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -204,10 +206,7 @@ def stream_equals_oracle(a, b, tol, budget):
     # RigidMotions and as the search's blocks
     motions, superposed = triples_stream(a, b, tol, budget)
     expected, expected_superposed = oracle_triples_stream(a, b, tol, budget)
-    # superposed as floats, like int coordinates in superpose_one
-    assert superposed == [
-        tuple(point_triples(np.array(pair, dtype=float))) for pair in expected_superposed
-    ]
+    assert superposed == expected_superposed
     assert motion_bits(motions) == motion_bits(expected)
     config = SearchConfig(mode="triples", budget=budget, prune_tolerance=tol)
     for size in (1, 7, rigid.SCORE_MOTIONS):
@@ -606,20 +605,33 @@ def test_triples_scan_equals_oracle_with_a_nan_area():
         assert_search_equals_oracle(a, b, 0.5, SearchConfig("triples", 10))
 
 
-def test_scan_and_search_equal_oracle_with_int_coordinates():
-    # b's first three vertices are collinear in exact integers, which
-    # triangle_area keeps exact, but not once rounded to floats: 2**53 + 1
-    # becomes 2**53 and 3 * (2**53 + 1) becomes 3 * 2**53 + 4, an area of 2.
-    # So a chain with an int coordinate is tested one triple at a time.
-    big = 2**53 + 1
-    b = Chain3D("b", (Point3(0, 0, 0), Point3(big, 1, 0), Point3(3 * big, 3, 0), Point3(1, 2, 3)))
-    a = chain_from_coords("a", [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5)])
-    assert triangle_area(*b.points[:3]) <= DEGENERATE_AREA_TOL
-    assert rigid._not_degenerate(b.as_array()[None, :3])[0]
-    motions, superposed = stream_equals_oracle(a, b, 1e300, 10**9)
-    first = tuple(map(tuple, b.as_array()[:3].tolist()))
-    assert superposed and all(src != first for src, _ in superposed)
-    assert_search_equals_oracle(a, b, 0.5, SearchConfig("triples", 100, prune_tolerance=1e300))
+int_coord = st.integers(-2**60, 2**60)
+int_points = st.lists(st.tuples(int_coord, int_coord, int_coord), min_size=3, max_size=6)
+
+
+@fixed_examples
+@given(int_points, int_points)
+# b's first three vertices are collinear in exact integers but not once
+# rounded to floats: 2**53 + 1 becomes 2**53 and 3 * (2**53 + 1) becomes
+# 3 * 2**53 + 4, an area of 2
+@example([(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5)],
+         [(0, 0, 0), (2**53 + 1, 1, 0), (3 * (2**53 + 1), 3, 0), (1, 2, 3)])
+def test_int_coordinates_are_the_floats_they_round_to(pa, pb):
+    # a chain of int points is its float twin: the same points and array,
+    # the same triples stream and the same reduction measurement
+    a, b = (Chain3D(n, tuple(Point3(*p) for p in pts)) for n, pts in (("a", pa), ("b", pb)))
+    assert all(type(c) is float for chain in (a, b) for p in chain.points for c in p)
+    twins = (chain_from_coords("a", pa), chain_from_coords("b", pb))
+    assert (a, b) == twins
+    assert [c.as_array().tobytes() for c in (a, b)] == [c.as_array().tobytes() for c in twins]
+    motions, _ = stream_equals_oracle(a, b, 1e300, 200)
+    assert motion_bits(motions) == motion_bits(triples_stream(*twins, 1e300, 200)[0])
+    labels = tuple(tuple((i, PRIME) for i in range(1, len(c) + 1)) for c in (a, b))
+    reports = [
+        measure_reduction_properties(ReductionInstance(Graph(6), 0.05, chains, labels))
+        for chains in ((a, b), twins)
+    ]
+    assert report_fields(reports[0]) == report_fields(reports[1])
 
 
 def tolerance_triangles():
