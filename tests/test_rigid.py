@@ -609,11 +609,24 @@ int_coord = st.integers(-2**60, 2**60)
 int_points = st.lists(st.tuples(int_coord, int_coord, int_coord), min_size=3, max_size=6)
 
 
+def test_scan_and_search_equal_oracle_with_int_coordinates():
+    # b's first three vertices are collinear in exact integers but not once
+    # rounded to floats: 2**53 + 1 becomes 2**53 and 3 * (2**53 + 1) becomes
+    # 3 * 2**53 + 4, an area of 2. Point3 stores the floats, so the scan
+    # superposes that triple like any other.
+    big = 2**53 + 1
+    b = Chain3D("b", (Point3(0, 0, 0), Point3(big, 1, 0), Point3(3 * big, 3, 0), Point3(1, 2, 3)))
+    a = chain_from_coords("a", [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5)])
+    assert b.points[1] == (2.0**53, 1.0, 0.0)
+    assert triangle_area(*b.points[:3]) == 2.0
+    assert rigid._not_degenerate(b.as_array()[None, :3])[0]
+    motions, superposed = stream_equals_oracle(a, b, 1e300, 10**9)
+    assert any(src == b.points[:3] for src, _ in superposed)
+    assert_search_equals_oracle(a, b, 0.5, SearchConfig("triples", 100, prune_tolerance=1e300))
+
+
 @fixed_examples
 @given(int_points, int_points)
-# b's first three vertices are collinear in exact integers but not once
-# rounded to floats: 2**53 + 1 becomes 2**53 and 3 * (2**53 + 1) becomes
-# 3 * 2**53 + 4, an area of 2
 @example([(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5)],
          [(0, 0, 0), (2**53 + 1, 1, 0), (3 * (2**53 + 1), 3, 0), (1, 2, 3)])
 def test_int_coordinates_are_the_floats_they_round_to(pa, pb):
