@@ -62,7 +62,7 @@ DELTA_LIMIT = 0.1
 MIS_LIMIT = 20
 CROSS_DISTANCE_BOUND = 3.0
 SIMPLE_SEPARATION = 1e-9
-SOLVE_BLOCK = 16384  # subsets of one size decided per numpy step
+SOLVE_CELLS = 1 << 15  # sweep positions computed per group of chains
 
 Label = tuple[int, str]
 
@@ -272,6 +272,84 @@ def _segment_distance(p1, q1, p2, q2) -> float:
     return math.ldexp(d, k - 2) * 4.0
 
 
+def _segment_separations(chains):
+    """Closest distances of the non-adjacent segment pairs of each chain.
+
+    Returns the distances in (chain, s, t) order, with each pair's chain
+    and its segment numbers s < t - 1, counted from 0.  Edge chains repeat
+    the two layers, so most segment pairs recur: each distinct pair, keyed
+    by its points, is measured once, on its first occurrence's points.
+    """
+    if not chains:
+        return (np.empty(0, dtype=np.intp),) * 4
+    points = [p for chain in chains for p in chain.points]
+    vertex_ids: dict[Point3, int] = {}
+    segment_ids: dict[tuple[int, int], int] = {}
+    vid = [vertex_ids.setdefault(p, len(vertex_ids)) for p in points]
+    # segment i runs from point i to point i + 1; the ones that cross from
+    # a chain into the next are never paired
+    sid = np.array([segment_ids.setdefault(pair, len(segment_ids)) for pair in zip(vid, vid[1:])])
+    lengths = [len(chain) for chain in chains]
+    pairs = {m: np.triu_indices(m - 1, 2) for m in set(lengths)}
+    counts = [len(pairs[m][0]) for m in lengths]
+    chain_of = np.repeat(np.arange(len(chains)), counts)
+    start = np.repeat(np.cumsum([0] + lengths[:-1]), counts)
+    s = np.concatenate([pairs[m][0] for m in lengths])
+    t = np.concatenate([pairs[m][1] for m in lengths])
+    keys = sid[s + start] * len(sid) + sid[t + start]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    d = _closest_distances(points, s[first] + start[first], t[first] + start[first])
+    return d[inverse.ravel()], chain_of, s, t
+
+
+def _closest_distances(points, i1, i2) -> np.ndarray:
+    """_segment_distance(points[i1], points[i1 + 1], points[i2], points[i2 + 1])
+    per row, bit for bit.
+
+    _closest_distance's steps run on stacks of rows, its branches as
+    np.where, and each row ends in math.dist on its two closest points.
+    Rows where an intermediate is not finite, and rows whose segments are
+    both points, go to the scalar code.
+    """
+    xyz = np.fromiter(itertools.chain.from_iterable(points), float, 3 * len(points))
+    xyz = xyz.reshape(-1, 3).T
+    p1, q1, p2, q2 = (xyz[:, i] for i in (i1, i1 + 1, i2, i2 + 1))
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def clamp(v):
+        return np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
+
+    tiny = 1e-30
+    with np.errstate(all="ignore"):
+        d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+        a, e, f = dot(d1, d1), dot(d2, d2), dot(d2, r)
+        c, b = dot(d1, r), dot(d1, d2)
+        denom = a * e - b * b
+        num = b * f - c * e
+        s = np.where(denom > tiny, clamp(num / denom), 0.0)
+        t = b * s + f
+        scalar = ~np.isfinite(np.stack((a, e, f, c, b, denom, num, t))).all(axis=0)
+        scalar |= (a <= tiny) & (e <= tiny)
+        t /= e
+        # past either end of segment 2, s is clamped on segment 1 against
+        # that end
+        s = np.where(t < 0.0, clamp(-c / a), np.where(t > 1.0, clamp((b - c) / a), s))
+        t = clamp(t)
+        s = np.where(e <= tiny, clamp(-c / a), s)
+        t = np.where(e <= tiny, 0.0, t)
+        s = np.where(a <= tiny, 0.0, s)
+        t = np.where(a <= tiny, clamp(f / e), t)
+        c1 = p1 + d1 * s
+        c2 = p2 + d2 * t
+    out = list(map(math.dist, zip(*c1.tolist()), zip(*c2.tolist())))
+    for k in np.flatnonzero(scalar).tolist():
+        j1, j2 = i1[k], i2[k]
+        out[k] = _segment_distance(points[j1], points[j1 + 1], points[j2], points[j2 + 1])
+    return np.array(out)
+
+
 def measure_reduction_properties(
     inst: ReductionInstance, gap_factor: float = 10.0
 ) -> ReductionReport:
@@ -324,25 +402,13 @@ def measure_reduction_properties(
                     min_gap, gap_wit = dy - dx, (wx, wy)
                 break
 
-    # edge chains repeat the two layers, so most segment pairs recur: each
-    # distinct pair is measured once
     min_sep, sep_wit = math.inf, None
-    vertex_ids: dict[Point3, int] = {}
-    segment_ids: dict[tuple[int, int], int] = {}
-    measured: dict[int, dict[int, float]] = {}
-    for chain in inst.chains:
-        pts = chain.points
-        vid = [vertex_ids.setdefault(p, len(vertex_ids)) for p in pts]
-        sid = [segment_ids.setdefault(pair, len(segment_ids)) for pair in zip(vid, vid[1:])]
-        nseg = len(pts) - 1
-        for s in range(nseg):
-            row = measured.setdefault(sid[s], {})
-            for t in range(s + 2, nseg):
-                d = row.get(sid[t])
-                if d is None:
-                    d = row[sid[t]] = _segment_distance(pts[s], pts[s + 1], pts[t], pts[t + 1])
-                if d < min_sep:
-                    min_sep, sep_wit = d, (chain.id, s + 1, t + 1)
+    d, chain_of, s, t = _segment_separations(inst.chains)
+    if len(d):
+        k = int(np.argmin(d))  # the first minimum in (chain, s, t) order
+        if d[k] < math.inf:
+            min_sep = float(d[k])
+            sep_wit = (inst.chains[chain_of[k]].id, int(s[k]) + 1, int(t[k]) + 1)
 
     return ReductionReport(
         n_vertices=inst.graph.n_vertices,
@@ -553,72 +619,135 @@ def solve_reduction_bruteforce(inst: ReductionInstance) -> ReductionSolution:
     and by the distance-threshold subsequence decision.  The two must agree
     or an InvariantError is raised.  Per chain, two next tables (the lowest
     position at or after p within delta of index i's point, and the lowest
-    carrying label i) turn both decisions into k lookups, made for a block
-    of up to SOLVE_BLOCK subsets of one size at a time; chains run in
-    order, and only subsets both decisions found go on to the next.  The
-    first subset of a block, in enumeration order, that either disagrees
-    at some chain or survives every chain decides the result, as in a loop
-    over single queries.  Each index's distance to each distinct chain
-    vertex is computed once.  Guarded to MIS_LIMIT vertices.
+    carrying label i) turn both decisions into sweeps of table lookups.
+    Subsets are bit masks, bit i-1 standing for index i, and a subset's
+    sweep position is its largest index's table row applied to the
+    position of the subset without that index; so one dynamic program over
+    the subset lattice, a gather per largest index, sweeps every subset
+    through a group of chains at once.  A subset that fails a chain's scan
+    or sweep makes every superset fail it too, so after each group the
+    subsets that failed a chain are dropped and the live subsets keep
+    their prefixes.  A subset is decided at its first failing chain when
+    its two decisions disagree there, or by passing every chain; the first
+    decided subset in enumeration order decides the result, as in a loop
+    over single queries.  Groups hold about SOLVE_CELLS sweep positions.
+    Each index's distance to each distinct chain vertex is computed once.
+    Guarded to MIS_LIMIT vertices.
     """
     n = inst.graph.n_vertices
     check_size(n, MIS_LIMIT, "vertices")
     if n and inst.chains:  # the threshold is only read when a query exists
         check_threshold(inst.delta)
     targets = [prime_point(i) for i in range(1, n + 1)]
+    n_chains = len(inst.chains)
     width = max((len(chain) for chain in inst.chains), default=0)
     stride = width + 1
+    # per chain, label rows 0..n-1 then close rows n..2n-1, each padded to
+    # width with positions that hold nothing
+    hits = np.zeros((n_chains, 2 * n, width), dtype=bool)
     row_of = {i: i - 1 for i in range(1, n + 1)}
-    tables = []
-    for close, labels in zip(_close_tables(targets, inst.chains, inst.delta), inst.label_map):
-        carries = np.zeros_like(close)
-        for p, lbl in enumerate(labels):
-            row = row_of.get(lbl[0])
-            if row is not None:
-                carries[row, p] = True
-        # label rows 0..n-1, then close rows n..2n-1
-        tables.append(_next_table(np.concatenate((carries, close)), width).ravel())
+    for c, (close, labels) in enumerate(
+        zip(_close_tables(targets, inst.chains, inst.delta), inst.label_map)
+    ):
+        hits[c, n:, :close.shape[1]] = close
+        carried = [(row_of[lbl[0]], p) for p, lbl in enumerate(labels) if lbl[0] in row_of]
+        if carried:
+            rows, positions = zip(*carried)
+            hits[c, rows, positions] = True
+    tables = _next_table(hits.reshape(n_chains * 2 * n, width), width)
+    tables = tables.reshape(n_chains, 2, n, stride)
 
-    for k in range(n, 0, -1):
-        combos = itertools.combinations(range(n), k)
-        while True:
-            # int8 holds every index below MIS_LIMIT and keeps a block small
-            block = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, SOLVE_BLOCK)), np.int8
-            ).reshape(-1, k)
-            if not len(block):
-                break
-            offsets = np.empty((k, 2, len(block)), dtype=np.intp)
-            offsets[:, 0] = block.T
-            offsets[:, 0] *= stride
-            offsets[:, 1] = offsets[:, 0] + n * stride
-            alive = np.arange(len(block))
-            # per subset, the chain whose decisions first disagreed, or
-            # len(tables) when every chain matched it
-            verdict = np.full(len(block), -1)
-            for c, table in enumerate(tables):
-                found, close = _sweep_positions(table, offsets) < width
-                verdict[alive[found != close]] = c
-                keep = found & close
-                if not keep.all():
-                    alive, offsets = alive[keep], offsets[:, :, keep]
-                    if not len(alive):
-                        break
-            verdict[alive] = len(tables)
-            decided = np.flatnonzero(verdict >= 0)
-            if not len(decided):
-                continue
-            first = decided[0]
-            vertices = tuple(int(i) + 1 for i in block[first])
-            if verdict[first] < len(tables):
-                raise InvariantError(
-                    f"label scan and distance decision disagree on subset "
-                    f"{vertices} against chain {inst.chains[verdict[first]].id}"
-                )
-            return ReductionSolution(
-                k,
-                vertices,
-                Chain3D("C", tuple(targets[i - 1] for i in vertices)),
-                tuple(greedy_label_match(vertices, labels) for labels in inst.label_map),
-            )
-    raise InvariantError("no subset matched every chain, not even a single index")
+    masks = np.arange(1 << n, dtype=np.int32)  # live subsets, ascending; 0 is the empty one
+    # the subsets whose two decisions disagreed at their first failing
+    # chain, and that chain
+    split_masks = [np.empty(0, dtype=np.int32)]
+    split_at = [np.empty(0, dtype=np.intp)]
+    c = 0
+    while c < n_chains and len(masks) > 1:
+        g = min(n_chains - c, max(1, SOLVE_CELLS // (2 * len(masks))))
+        keep, split, first = _sweep_group(tables[c:c + g], masks, width)
+        split_masks.append(masks[split])
+        split_at.append(first + c)
+        masks = masks[keep]
+        c += g
+    split_masks = np.concatenate(split_masks)
+    # the live nonempty subsets passed every chain
+    candidates = np.concatenate((split_masks, masks[1:]))
+    if not len(candidates):
+        raise InvariantError("no subset matched every chain, not even a single index")
+    best = _first_subset(candidates, n)
+    mask = int(candidates[best])
+    vertices = tuple(i + 1 for i in range(n) if mask >> i & 1)
+    if best < len(split_masks):
+        chain = inst.chains[np.concatenate(split_at)[best]]
+        raise InvariantError(
+            f"label scan and distance decision disagree on subset "
+            f"{vertices} against chain {chain.id}"
+        )
+    return ReductionSolution(
+        len(vertices),
+        vertices,
+        Chain3D("C", tuple(targets[i - 1] for i in vertices)),
+        tuple(greedy_label_match(vertices, labels) for labels in inst.label_map),
+    )
+
+
+def _sweep_group(tables: np.ndarray, masks: np.ndarray, width: int):
+    """Sweep the live subsets through a group of chains' next tables.
+
+    tables is (g, 2, n, width + 1): per chain, label rows then close rows.
+    masks holds the live subsets in ascending order, with every live
+    subset's subset without its largest index.  Returns which subsets pass
+    every chain of the group, and for the subsets whose two decisions
+    disagree at their first failing chain, their places in masks and that
+    chain's place in the group.
+    """
+    g, _, n, stride = tables.shape
+    # a subset's state in row j is j * stride plus its position, the label
+    # rows of the chains first, then their close rows; so layer tables
+    # shifted alike take states to states in one gather
+    shift = np.arange(2 * g) * stride
+    state = np.int16 if 2 * g * stride <= 1 << 15 else np.int32
+    layers = tables.transpose(2, 1, 0, 3).reshape(n, 2 * g, stride)
+    layers = (layers + shift[:, None]).astype(state).reshape(n, -1)
+    pos = np.empty((2 * g, len(masks)), dtype=state)
+    pos[:, 0] = shift  # the empty subset, at position 0
+    # layer h, the subsets whose largest index is h+1, is masks[bounds[h]:bounds[h+1]]
+    bounds = np.searchsorted(masks, 1 << np.arange(n + 1))
+    for h in range(n):
+        lo, hi = bounds[h], bounds[h + 1]
+        if hi - lo == lo:  # every live subset below is a parent
+            parents = pos[:, :lo]
+        elif lo < hi:
+            parents = pos[:, np.searchsorted(masks[:lo], masks[lo:hi] - (1 << h))]
+        else:
+            continue
+        # every state indexes the table, so "clip" never acts; it spares
+        # take a buffered copy of out
+        np.take(layers[h], parents, out=pos[:, lo:hi], mode="clip")
+    hit = pos < (shift + width)[:, None]
+    found, close = hit[:g], hit[g:]
+    passed = found & close
+    keep = np.logical_and.reduce(passed)
+    split = found != close
+    if not split.any():  # no subset's decisions disagree at any chain
+        return keep, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    failed = np.flatnonzero(~keep)
+    first = passed[:, failed].argmin(axis=0)
+    disagree = split[first, failed]
+    return keep, failed[disagree], first[disagree]
+
+
+def _first_subset(masks: np.ndarray, n: int) -> int:
+    """The position in masks of the subset that comes first in enumeration
+    order: the largest, and among those the lexicographically smallest."""
+    # the key's high bits count the subset; below them bit i weighs
+    # 2**(n-1-i), so of two subsets of one size the one holding the lowest
+    # index where they differ has the larger key; n <= MIS_LIMIT keeps it
+    # in int32
+    key = np.zeros(len(masks), dtype=np.int32)
+    for i in range(n):
+        bit = masks >> i & 1
+        key += bit << n
+        key |= bit << (n - 1 - i)
+    return int(np.argmax(key))

@@ -197,7 +197,14 @@ def report_chains(data: dict) -> list[Chain3D]:
     chains: list[Chain3D] = []
     for entry in raw:
         try:
-            chains.append(chain_from_coords(str(entry["name"]), entry["vertices"]))
+            vertices = entry["vertices"]
+            for vertex in vertices:
+                for c in vertex:
+                    # a JSON number parses as an int or a float; a string
+                    # or a bool would be coerced by float()
+                    if type(c) not in (int, float):
+                        raise ValueError(f"coordinate {c!r} is not a number")
+            chains.append(chain_from_coords(str(entry["name"]), vertices))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad chain entry in report: {exc}") from None
     return chains

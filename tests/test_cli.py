@@ -210,6 +210,10 @@ def test_render_produces_svg(tmp_path, capsys):
     huge = write(tmp_path / "huge.json", json.dumps(data))
     assert main(["render", huge, "--out", str(tmp_path / "h.svg")]) == 2
     assert "bad chain entry" in capsys.readouterr().err
+    data["chains"][1]["vertices"][1] = ["1.5", True, " 2 "]  # rebuilt as (1.5, 1.0, 2.0) before
+    strings = write(tmp_path / "strings.json", json.dumps(data))
+    assert main(["render", strings, "--out", str(tmp_path / "s.svg")]) == 2
+    assert "is not a number" in capsys.readouterr().err
 
 
 def test_pdb_inputs(tmp_path, capsys):

@@ -496,23 +496,50 @@ def reordered_instances(draw):
     return ReductionInstance(inst.graph, inst.delta, tuple(chains), tuple(label_map))
 
 
+@st.composite
+def degenerate_instances(draw):
+    # one chain with repeated vertices (zero-length segments), a copy of
+    # its first segment shifted along y (an exactly parallel segment), and
+    # a scale at which the float products overflow to inf (1e100) or give
+    # NaN (1e199)
+    inst = draw(reduction_instances())
+    which = draw(st.integers(0, len(inst.chains) - 1))
+    pts, labels = list(inst.chains[which].points), list(inst.label_map[which])
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=2)):
+        pts.insert(k, pts[k])
+        labels.insert(k, labels[k])
+    if len(pts) > 1 and draw(st.booleans()):
+        pts += [Point3(p.x, p.y + 3.0, p.z) for p in pts[:2]]
+        labels += labels[:2]
+    scale = draw(st.sampled_from([1.0, 1e100, 1e199]))
+    chains = list(inst.chains)
+    label_map = list(inst.label_map)
+    chains[which] = Chain3D(chains[which].id, tuple(Point3(*(c * scale for c in p)) for p in pts))
+    label_map[which] = tuple(labels)
+    return ReductionInstance(inst.graph, inst.delta, tuple(chains), tuple(label_map))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(reduction_instances() | reordered_instances(), st.sampled_from([0.5, 2.0, 10.0]))
+@given(
+    reduction_instances() | reordered_instances() | degenerate_instances(),
+    st.sampled_from([0.5, 2.0, 10.0]),
+)
 def test_measurement_equals_the_per_pair_oracle(inst, gap_factor):
     report = measure_reduction_properties(inst, gap_factor)
     assert report_fields(report) == report_fields(oracle_measure(inst, gap_factor))
 
 
-BLOCK_SIZES = (1, 3, reduction.SOLVE_BLOCK)
+# one chain per group, groups that grow as subsets drop out, and the default
+CELL_BUDGETS = (1, 64, reduction.SOLVE_CELLS)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(reduction_instances())
 def test_solver_equals_the_per_query_oracle(inst):
     expected = solve_outcome(oracle_solve, inst)
-    for block in BLOCK_SIZES:
-        with patch.object(reduction, "SOLVE_BLOCK", block):
-            assert solve_outcome(solve_reduction_bruteforce, inst) == expected, block
+    for cells in CELL_BUDGETS:
+        with patch.object(reduction, "SOLVE_CELLS", cells):
+            assert solve_outcome(solve_reduction_bruteforce, inst) == expected, cells
 
 
 def decisions(inst, which, subset):
@@ -535,9 +562,9 @@ def two_subset_instance(moved):
     return move_vertex(build_reduction(Graph(3, ((1, 2),))), 1, moved, 5.0)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_solver_block_edge_cases(block):
-    with patch.object(reduction, "SOLVE_BLOCK", block):
+@pytest.mark.parametrize("cells", CELL_BUDGETS)
+def test_solver_block_edge_cases(cells):
+    with patch.object(reduction, "SOLVE_CELLS", cells):
         # no chains: the full index set matches vacuously
         empty = ReductionInstance(Graph(3), 0.05, (), ())
         assert solve_outcome(solve_reduction_bruteforce, empty) == solve_outcome(oracle_solve, empty)
@@ -646,6 +673,17 @@ def test_solver_detects_internally_inconsistent_instances():
     bad = _replace_chain(inst, 3, Chain3D(p3.id, tuple(pts)))
     with pytest.raises(InvariantError):
         solve_reduction_bruteforce(bad)
+
+
+def test_solver_at_the_vertex_limit():
+    # the whole 2**20 lattice: K20 sweeps 191 chains, a sparse graph keeps
+    # many subsets live to the last chain
+    rng = random.Random(20)
+    pairs = list(itertools.combinations(range(1, 21), 2))
+    sparse = tuple(p for p in pairs if rng.random() < 0.1)
+    for graph in (Graph(20, tuple(pairs)), Graph(20, sparse)):
+        sol = solve_reduction_bruteforce(build_reduction(graph))
+        assert (sol.k, sol.vertices) == max_independent_set_bruteforce(graph)
 
 
 def test_solver_size_limit():

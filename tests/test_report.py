@@ -190,6 +190,10 @@ def test_parse_report_rejects_non_reports():
         report_chains({"chains": [{"name": "a", "vertices": [[1, 2]]}]})
     with pytest.raises(InputError):  # an integer beyond floats
         report_chains({"chains": [{"name": "a", "vertices": [[10**400, 0, 0]]}]})
+    # values that are not JSON numbers; float() coerced the strings and bools
+    for bad in ("1.5", True, False, " 2 ", None):
+        with pytest.raises(InputError, match="is not a number"):
+            report_chains({"chains": [{"name": "a", "vertices": [[0, bad, 0.5]]}]})
     with pytest.raises(InputError):
         report_walk({"command": "align"}, 2)
     with pytest.raises(InputError):
