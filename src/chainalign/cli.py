@@ -21,6 +21,11 @@ refuses more than PAIR_CELL_LIMIT cells, and plsa-rigid --mode triples a
 chain of more than 5000 vertices, both with exit 3.  These limits, and those
 of mis and verify-reduction, are all checked by errors.check_size.
 plsa-rigid --mode random without --seed draws a seed and reports it.
+
+elapsed_ms times the solve call alone, not loading, validation or output:
+discrete_frechet (dfd), the DP (plsa), the search (plsa-rigid), build,
+measurement and equivalence check (verify-reduction), the independent-set
+solver (mis), and build_reduction without the file writes (gen-hard).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .chainio import (
 )
 from .errors import InputError, InvariantError, PreconditionError, check_size
 from .frechet import discrete_frechet
-from .geometry import Chain3D, apply_motion
+from .geometry import apply_motion
 from .plsa import (
     plsa_static_multi,
     plsa_static_pair_fast,
@@ -73,124 +78,93 @@ __all__ = ["main", "build_parser"]
 EQUIVALENCE_LIMIT = 12
 
 
-def _load_chain(path_str: str, pdb_chain: str | None) -> tuple[Chain3D, dict[str, str]]:
-    path = Path(path_str)
+def _read(path: Path) -> tuple[str, dict[str, str]]:
+    """A file's text and its digest."""
     data = path.read_bytes()
-    digest = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-    text = data.decode("utf-8")
-    if path.suffix.lower() == ".pdb":
-        return parse_pdb_ca(text, pdb_chain), digest
-    chains = parse_chain_file(text).chains
-    if len(chains) != 1:
-        raise InputError(f"{path} holds {len(chains)} chains; a chain file must hold one")
-    return chains[0], digest
+    return data.decode("utf-8"), {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _load_graph(path_str: str):
-    path = Path(path_str)
-    data = path.read_bytes()
-    digest = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-    return parse_graph_file(data.decode("utf-8")), digest
+def _load_chains(paths: Sequence[str], pdb_chain: str | None):
+    """The chains of the given files, and their digests."""
+    chains, digests = [], []
+    for path in map(Path, paths):
+        text, digest = _read(path)
+        if path.suffix.lower() == ".pdb":
+            chains.append(parse_pdb_ca(text, pdb_chain))
+        else:
+            found = parse_chain_file(text).chains
+            if len(found) != 1:
+                raise InputError(f"{path} holds {len(found)} chains; a chain file must hold one")
+            chains.append(found[0])
+        digests.append(digest)
+    return tuple(chains), tuple(digests)
 
 
-def _finite_or_none(v: float) -> float | None:
-    return v if math.isfinite(v) else None
+def _load_graph(path: str):
+    text, digest = _read(Path(path))
+    return parse_graph_file(text), digest
 
 
-def _cmd_dfd(args) -> int:
-    a, da = _load_chain(args.chain_a, args.pdb_chain)
-    b, db = _load_chain(args.chain_b, args.pdb_chain)
+def _timed(fn, *args):
+    """fn(*args) and its wall time in milliseconds."""
     t0 = time.perf_counter()
-    res = discrete_frechet(a, b)
-    ms = (time.perf_counter() - t0) * 1000.0
-    report = RunReport(
-        command="dfd",
-        inputs=(da, db),
-        delta=None,
-        value=res.value,
-        elapsed_ms=ms,
-        walk=res.walk.steps if args.walk else None,
-        witness=res.witness,
-        chains=(a, b),
-    )
-    print(emit_report(report, args.format), end="")
-    return 0
+    result = fn(*args)
+    return result, (time.perf_counter() - t0) * 1000.0
 
 
-def _cmd_plsa(args) -> int:
+def _cmd_dfd(args) -> str:
+    chains, inputs = _load_chains((args.chain_a, args.chain_b), args.pdb_chain)
+    res, ms = _timed(discrete_frechet, *chains)
+    walk = res.walk.steps if args.walk else None
+    report = RunReport("dfd", inputs, None, res.value, ms, walk=walk, witness=res.witness,
+                       chains=chains)
+    return emit_report(report, args.format)
+
+
+def _alignment_report(args, inputs, res, ms: float, chains, **fields) -> str:
+    """Validate an alignment of the chains, then report it."""
+    validate_alignment_result(res, chains, args.delta)
+    report = RunReport(args.command, inputs, args.delta, res.value, ms,
+                       subsequences=res.subsequences, walk=res.walk.steps, chains=chains, **fields)
+    return emit_report(report, args.format)
+
+
+def _cmd_plsa(args) -> str:
     if len(args.chains) < 2:
         raise InputError("need at least two chain files")
     if args.fast and len(args.chains) != 2:
         raise InputError("--fast applies to exactly two chains")
-    loaded = [_load_chain(p, args.pdb_chain) for p in args.chains]
-    chains = [c for c, _ in loaded]
-    t0 = time.perf_counter()
+    chains, inputs = _load_chains(args.chains, args.pdb_chain)
     if len(chains) == 2:
-        res = plsa_static_pair_fast(chains[0], chains[1], args.delta)
+        res, ms = _timed(plsa_static_pair_fast, *chains, args.delta)
     else:
-        res = plsa_static_multi(chains, args.delta)
-    ms = (time.perf_counter() - t0) * 1000.0
-    validate_alignment_result(res, chains, args.delta)
-    report = RunReport(
-        command="plsa",
-        inputs=tuple(d for _, d in loaded),
-        delta=args.delta,
-        value=res.value,
-        elapsed_ms=ms,
-        subsequences=res.subsequences,
-        walk=res.walk.steps,
-        chains=tuple(chains),
-    )
-    print(emit_report(report, args.format), end="")
-    return 0
+        res, ms = _timed(plsa_static_multi, chains, args.delta)
+    return _alignment_report(args, inputs, res, ms, chains)
 
 
-def _cmd_rigid(args) -> int:
-    a, da = _load_chain(args.chain_a, args.pdb_chain)
-    b, db = _load_chain(args.chain_b, args.pdb_chain)
+def _cmd_rigid(args) -> str:
+    (a, b), inputs = _load_chains((args.chain_a, args.chain_b), args.pdb_chain)
     seed = args.seed
     if args.mode == "random" and seed is None:
         # reported, so --seed replays the run; any JSON reader holds it exactly
         seed = random.SystemRandom().randrange(2**53)
-    config = SearchConfig(
-        mode=args.mode,
-        budget=args.budget,
-        seed=seed,
-        prune_tolerance=args.prune_tolerance,
-    )
-    t0 = time.perf_counter()
-    motion, res = plsa_rigid_pair(a, b, args.delta, config)
-    ms = (time.perf_counter() - t0) * 1000.0
+    config = SearchConfig(mode=args.mode, budget=args.budget, seed=seed,
+                          prune_tolerance=args.prune_tolerance)
+    (motion, res), ms = _timed(plsa_rigid_pair, a, b, args.delta, config)
     moved = apply_motion(motion, b)
-    validate_alignment_result(res, (a, moved), args.delta)
-    report = RunReport(
-        command="plsa-rigid",
-        inputs=(da, db),
-        delta=args.delta,
-        value=res.value,
-        elapsed_ms=ms,
-        subsequences=res.subsequences,
-        walk=res.walk.steps,
-        motion=motion,
-        seed=seed,
-        chains=(a, moved),
-    )
-    print(emit_report(report, args.format), end="")
-    return 0
+    return _alignment_report(args, inputs, res, ms, (a, moved), motion=motion, seed=seed)
 
 
-def _cmd_gen_hard(args) -> int:
+def _cmd_gen_hard(args) -> str:
     graph, dg = _load_graph(args.graph)
-    t0 = time.perf_counter()
-    inst = build_reduction(graph, args.delta)
+    inst, ms = _timed(build_reduction, graph, args.delta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for chain in inst.chains:
         fname = f"{chain.id}.chain"
-        (out / fname).write_text(
-            serialize_chain_document(ChainDocument((chain,))), encoding="utf-8"
-        )
+        text = serialize_chain_document(ChainDocument((chain,)))
+        (out / fname).write_text(text, encoding="utf-8")
         entries.append({"name": chain.id, "file": fname, "length": len(chain)})
     manifest = {
         "command": "gen-hard",
@@ -198,83 +172,64 @@ def _cmd_gen_hard(args) -> int:
         "delta": args.delta,
         "graph": {"n_vertices": graph.n_vertices, "edges": [list(e) for e in graph.edges]},
         "chains": entries,
-        "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
+        "elapsed_ms": ms,
     }
     (out / "manifest.json").write_text(json_text(manifest) + "\n", encoding="utf-8")
-    print(str(out / "manifest.json"))
-    return 0
+    return f"{out / 'manifest.json'}\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> str:
     graph, dg = _load_graph(args.graph)
     check_size(graph.n_vertices, MIS_LIMIT, "vertices")
-    t0 = time.perf_counter()
-    inst = build_reduction(graph, args.delta)
-    rep = verify_reduction_properties(inst, args.gap_factor)
-    payload: dict = {
-        "command": "verify-reduction",
-        "inputs": [dg],
-        "delta": args.delta,
-        "gap_factor": args.gap_factor,
-        "properties": {
-            "min_cross_distance": _finite_or_none(rep.min_cross_distance),
-            "max_same_index_distance": rep.max_same_index_distance,
-            "min_quadruple_gap": _finite_or_none(rep.min_quadruple_gap),
-            "min_segment_separation": _finite_or_none(rep.min_segment_separation),
-        },
-    }
-    if graph.n_vertices <= EQUIVALENCE_LIMIT:
+
+    def solve():
+        inst = build_reduction(graph, args.delta)
+        rep = verify_reduction_properties(inst, args.gap_factor)
+        if graph.n_vertices > EQUIVALENCE_LIMIT:
+            return rep, None
         solution = solve_reduction_bruteforce(inst)
         k_mis, witness = max_independent_set_bruteforce(graph)
         if solution.k != k_mis:
             raise InvariantError(
-                f"alignment maximum {solution.k} != independent set maximum {k_mis}"
-            )
-        payload["equivalence"] = {
-            "k": solution.k,
-            "independent_set": list(witness),
-            "matched_subset": list(solution.vertices),
-        }
-    else:
-        payload["equivalence"] = None
-    payload["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
-    if args.format == "json":
-        print(json_text(payload))
-    else:
-        props = payload["properties"]
-        print(f"vertices: {graph.n_vertices}, chains: {len(inst.chains)}")
-        for key, val in props.items():
-            print(f"{key.replace('_', ' ')}: {val!r}")
-        eq = payload["equivalence"]
-        if eq is None:
-            print(f"equivalence: skipped (more than {EQUIVALENCE_LIMIT} vertices)")
-        else:
-            vs = " ".join(map(str, eq["independent_set"]))
-            print(f"equivalence: k={eq['k']} vertices {vs}")
-    return 0
+                f"alignment maximum {solution.k} != independent set maximum {k_mis}")
+        return rep, {"k": solution.k, "independent_set": list(witness),
+                     "matched_subset": list(solution.vertices)}
 
-
-def _cmd_mis(args) -> int:
-    graph, dg = _load_graph(args.graph)
-    t0 = time.perf_counter()
-    k, witness = max_independent_set_bruteforce(graph)
-    ms = (time.perf_counter() - t0) * 1000.0
+    (rep, eq), ms = _timed(solve)
+    props = {
+        "min_cross_distance": rep.min_cross_distance,
+        "max_same_index_distance": rep.max_same_index_distance,
+        "min_quadruple_gap": rep.min_quadruple_gap,
+        "min_segment_separation": rep.min_segment_separation,
+    }
+    # a minimum over an empty set is inf, reported as null
+    props = {key: val if math.isfinite(val) else None for key, val in props.items()}
     if args.format == "json":
-        payload = {
-            "command": "mis",
-            "inputs": [dg],
-            "value": k,
-            "vertices": list(witness),
+        return json_text({
+            "command": "verify-reduction", "inputs": [dg], "delta": args.delta,
+            "gap_factor": args.gap_factor, "properties": props, "equivalence": eq,
             "elapsed_ms": ms,
-        }
-        print(json_text(payload))
+        }) + "\n"
+    lines = [f"vertices: {graph.n_vertices}, chains: {rep.n_chains}"]
+    lines += [f"{key.replace('_', ' ')}: {val!r}" for key, val in props.items()]
+    if eq is None:
+        lines.append(f"equivalence: skipped (more than {EQUIVALENCE_LIMIT} vertices)")
     else:
-        print(f"value: {k}")
-        print("vertices: " + " ".join(map(str, witness)))
-    return 0
+        vs = " ".join(map(str, eq["independent_set"]))
+        lines.append(f"equivalence: k={eq['k']} vertices {vs}")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_render(args) -> int:
+def _cmd_mis(args) -> str:
+    graph, dg = _load_graph(args.graph)
+    (k, witness), ms = _timed(max_independent_set_bruteforce, graph)
+    if args.format == "json":
+        return json_text({"command": "mis", "inputs": [dg], "value": k,
+                          "vertices": list(witness), "elapsed_ms": ms}) + "\n"
+    return f"value: {k}\nvertices: " + " ".join(map(str, witness)) + "\n"
+
+
+def _cmd_render(args) -> str:
     data = parse_report(Path(args.report).read_text(encoding="utf-8"))
     chains = report_chains(data)
     walk = report_walk(data, len(chains))
@@ -282,10 +237,8 @@ def _cmd_render(args) -> int:
         for c, idx in enumerate(step):
             if not 1 <= idx <= len(chains[c]):
                 raise InputError(f"walk step {step} is out of range for the embedded chains")
-    svg = emit_alignment_svg(chains, walk)
-    Path(args.out).write_text(svg, encoding="utf-8")
-    print(args.out)
-    return 0
+    Path(args.out).write_text(emit_alignment_svg(chains, walk), encoding="utf-8")
+    return f"{args.out}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +320,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        print(args.func(args), end="")
+        return 0
     # UnicodeDecodeError is a ValueError, so exit 2 is decided before exit 3
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

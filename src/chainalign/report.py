@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -246,6 +247,12 @@ def emit_alignment_svg(
     width, height, margin = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     arrays = [c.as_array() for c in chains]
     pooled = np.vstack(arrays)
+    top = float(np.abs(pooled).max())
+    if top > 1e100:
+        # the drawing does not change under scaling; a power of two rounds no
+        # normal coordinate, and it keeps the mean, covariance and spans finite
+        arrays = [arr * 2.0 ** -math.frexp(top)[1] for arr in arrays]
+        pooled = np.vstack(arrays)
     center = pooled.mean(axis=0)
     spread = pooled - center
     _, vecs = np.linalg.eigh(spread.T @ spread)

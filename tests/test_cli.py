@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +370,128 @@ def test_unknown_arguments_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# every command's output, pinned
+# ---------------------------------------------------------------------------
+
+# tests/cli_outputs.json holds, per case, the exit code, the stdout with
+# elapsed_ms blanked and the first line of stderr; `python tests/test_cli.py`
+# records it again
+OUTPUTS = Path(__file__).resolve().with_name("cli_outputs.json")
+
+PINNED_INPUTS = {
+    "a.chain": chain_text([(0, 0, 0), (1, 0, 0), (2, 0, 0)]),
+    "b.chain": chain_text([(0, 0.5, 0), (1, 0.5, 0), (2, 0.5, 0)]),
+    "c.chain": chain_text([(0, 1, 0), (1.5, 0.25, 0.5), (2, 0, 0.25), (3, 0, 0)]),
+    "five.graph": FIVE_VERTEX_GRAPH,
+    "path13.graph": "13 12\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 13)),
+    "big.graph": "21 0\n",
+    "bad.json": "not json",
+}
+
+PINNED_CASES = {
+    "dfd": ["dfd", "a.chain", "c.chain", "--walk"],
+    "dfd_no_walk": ["dfd", "a.chain", "b.chain"],
+    "plsa_2": ["plsa", "a.chain", "c.chain", "--delta", "1"],
+    "plsa_3": ["plsa", "a.chain", "b.chain", "c.chain", "--delta", "1"],
+    "rigid_triples": ["plsa-rigid", "a.chain", "b.chain", "--delta", "1", "--budget", "5"],
+    "rigid_random": ["plsa-rigid", "a.chain", "b.chain", "--delta", "1", "--mode", "random",
+                     "--seed", "7", "--budget", "5"],
+    "verify": ["verify-reduction", "five.graph"],
+    "verify_13": ["verify-reduction", "path13.graph", "--gap-factor", "2"],
+    "verify_property_fails": ["verify-reduction", "five.graph", "--gap-factor", "1e9"],
+    "mis": ["mis", "five.graph"],
+}
+PINNED_CASES.update(
+    {f"{name}_json": argv + ["--format", "json"] for name, argv in list(PINNED_CASES.items())}
+)
+PINNED_CASES.update({
+    "gen_hard": ["gen-hard", "five.graph", "--out", "inst"],
+    "dfd_missing_file": ["dfd", "missing.chain", "a.chain"],
+    "plsa_negative_delta": ["plsa", "a.chain", "b.chain", "--delta", "-1"],
+    "rigid_zero_budget": ["plsa-rigid", "a.chain", "b.chain", "--delta", "1", "--budget", "0"],
+    "gen_hard_bad_delta": ["gen-hard", "five.graph", "--delta", "0.5", "--out", "inst"],
+    "mis_too_many_vertices": ["mis", "big.graph"],
+    "render_not_json": ["render", "bad.json", "--out", "x.svg"],
+})
+
+
+def blank_elapsed(text):
+    return re.sub(r'(elapsed_ms"?: )[^,\n]*', r"\1-", text)
+
+
+def write_pinned_inputs(path):
+    for fname, text in PINNED_INPUTS.items():
+        write(path / fname, text)
+
+
+def run_pinned(name):
+    """One pinned case, run in a directory holding PINNED_INPUTS."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(PINNED_CASES[name])
+    got = {
+        "exit": code,
+        "stdout": blank_elapsed(out.getvalue()),
+        "stderr": err.getvalue().partition("\n")[0],
+    }
+    if name == "gen_hard":
+        got["manifest"] = blank_elapsed(Path("inst/manifest.json").read_text(encoding="utf-8"))
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_output_is_pinned(name, tmp_path, monkeypatch):
+    write_pinned_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run_pinned(name) == json.loads(OUTPUTS.read_text(encoding="utf-8"))[name]
+
+
+# the names perfbench/spans.py replaces on chainalign.cli while tracing; the
+# CLI must look each one up there at call time
+TRACED_NAMES = (
+    "parse_chain_file", "parse_graph_file", "parse_pdb_ca", "plsa_static_pair_fast",
+    "validate_alignment_result", "plsa_rigid_pair", "apply_motion", "build_reduction",
+    "verify_reduction_properties", "solve_reduction_bruteforce",
+    "max_independent_set_bruteforce", "emit_report",
+)
+
+
+def test_replaced_cli_names_see_every_call(tmp_path, monkeypatch, capsys):
+    write_pinned_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "a.pdb", "\n".join(atom_line(i + 1, float(i), 0.0, 0.0) for i in range(3)))
+    calls = dict.fromkeys(TRACED_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for argv in (
+        ["dfd", "a.chain", "a.pdb"],
+        ["plsa", "a.chain", "b.chain", "--delta", "1"],
+        ["plsa-rigid", "a.chain", "c.chain", "--delta", "1", "--budget", "5"],
+        ["verify-reduction", "five.graph"],
+        ["mis", "five.graph"],
+        ["gen-hard", "five.graph", "--out", "inst"],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_pinned_inputs(Path(tmp))
+        os.chdir(tmp)
+        recorded = {name: run_pinned(name) for name in sorted(PINNED_CASES)}
+    OUTPUTS.write_text(json.dumps(recorded, indent=2) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -247,3 +248,24 @@ def test_svg_escapes_chain_names():
     text = emit_alignment_svg((a,), ())
     svg_root(text)
     assert "&lt;&amp;evil&gt;" in text
+
+
+@pytest.mark.parametrize("top", [1e300, 1e308])
+def test_svg_of_huge_coordinates_is_drawn_as_at_unit_scale(top):
+    # unscaled, the covariance overflows: the vertices were all drawn at one
+    # point with a RuntimeWarning, or eigh failed to converge
+    a = [(-1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (1.0, 0.0, 0.25)]
+    b = [(-1.0, 0.25, 0.0), (1.0, 0.5, 0.0)]
+    walk = ((1, 1), (2, 1), (3, 2))
+
+    def drawn(scale):
+        chains = [chain_from_coords(n, [(x * scale, y * scale, z * scale) for x, y, z in c])
+                  for n, c in (("a", a), ("b", b))]
+        with np.errstate(all="raise"):
+            root = svg_root(emit_alignment_svg(chains, walk))
+        return [float(el.get(k)) for el in root.iter() for k in ("cx", "cy", "x1", "y2")
+                if el.get(k) is not None]
+
+    unit = drawn(1.0)
+    assert len(set(unit)) > 4
+    assert drawn(top) == pytest.approx(unit, abs=1e-3)
