@@ -18,8 +18,9 @@ effect.  Three or four chains run the multi-chain DP,
 one table and O((2^m + m) N) work for m chains of N index tuples, which
 refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).  dfd
 refuses more than PAIR_CELL_LIMIT cells, and plsa-rigid --mode triples a
-chain of more than 5000 vertices, both with exit 3.  These limits, and those
-of mis and verify-reduction, are all checked by errors.check_size.
+chain of more than 5000 vertices, both with exit 3.  These limits, those of
+mis and verify-reduction, and gen-hard's reduction.REDUCTION_VERTEX_LIMIT
+chain vertices, are all checked by errors.check_size.
 plsa-rigid --mode random without --seed draws a seed and reports it.
 
 elapsed_ms times the solve call alone, not loading, validation or output:
@@ -71,7 +72,7 @@ from .report import (
     report_chains,
     report_walk,
 )
-from .rigid import SearchConfig, plsa_rigid_pair
+from .rigid import MODES, SearchConfig, plsa_rigid_pair
 
 __all__ = ["main", "build_parser"]
 
@@ -272,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chain_a")
     p.add_argument("chain_b")
     p.add_argument("--delta", type=float, required=True, help="closeness threshold")
-    p.add_argument("--mode", choices=("triples", "random"), default="triples")
-    p.add_argument("--budget", type=int, default=1000, help="max candidate motions")
+    p.add_argument("--mode", choices=MODES, default=SearchConfig.mode)
+    p.add_argument("--budget", type=int, default=SearchConfig.budget, help="max candidate motions")
     p.add_argument("--seed", type=int, default=None, help="seed for --mode random")
     p.add_argument("--prune-tolerance", type=float, default=None, dest="prune_tolerance",
                    help="triple congruence slack (default 2 * delta)")

@@ -21,6 +21,7 @@ __all__ = [
     "move_array_stack",
     "motion_from_triples",
     "superpose",
+    "triangle_areas",
     "triangle_area",
     "ORTHONORMAL_TOL",
     "DEGENERATE_AREA_TOL",
@@ -182,18 +183,29 @@ def apply_motion(motion: RigidMotion, chain: Chain3D) -> Chain3D:
     return Chain3D(chain.id, tuple(Point3(x, y, z) for x, y, z in moved.tolist()))
 
 
-def triangle_area(a: Point3, b: Point3, c: Point3) -> float:
-    """Area of the triangle spanned by three points.
+def triangle_areas(stack: np.ndarray) -> np.ndarray:
+    """Areas of the triangles of an (m, 3, 3) stack of points.
 
-    The cross product of b - a and c - a is formed in Python, component by
-    component in the order np.cross forms them, so the area has the floats
-    of np.cross without its per-call array handling.
+    Each cross product of b - a and c - a is formed component by component
+    in the order np.cross forms them, and its squares are summed left to
+    right: every step is one IEEE operation per element and none is a BLAS
+    call, so the areas are the same floats on every machine.  A cross
+    product with an inf - inf component gives a NaN area, which is not
+    <= any tolerance; no floating-point warning is raised.
     """
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
-    u0, u1, u2 = bx - ax, by - ay, bz - az
-    v0, v1, v2 = cx - ax, cy - ay, cz - az
-    cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-    return 0.5 * float(np.linalg.norm(np.array(cross, dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = stack[:, 1] - stack[:, 0]
+        v = stack[:, 2] - stack[:, 0]
+        c0 = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+        c1 = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+        c2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        return 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+
+
+def triangle_area(a: Point3, b: Point3, c: Point3) -> float:
+    """Area of the triangle spanned by three points: triangle_areas for a
+    stack of one."""
+    return float(triangle_areas(np.array([(a, b, c)], dtype=float))[0])
 
 
 def motion_from_triples(

@@ -53,6 +53,7 @@ __all__ = [
     "greedy_label_match",
     "DELTA_LIMIT",
     "MIS_LIMIT",
+    "REDUCTION_VERTEX_LIMIT",
 ]
 
 PRIME = "prime"
@@ -60,6 +61,8 @@ DOUBLE_PRIME = "double-prime"
 
 DELTA_LIMIT = 0.1
 MIS_LIMIT = 20
+# chain vertices of one instance, n + |E| (2n - 2): K20 has 7 240
+REDUCTION_VERTEX_LIMIT = 1_000_000
 CROSS_DISTANCE_BOUND = 3.0
 SIMPLE_SEPARATION = 1e-9
 SOLVE_CELLS = 1 << 15  # sweep positions computed per group of chains
@@ -147,11 +150,13 @@ def build_reduction(graph: Graph, delta: float = 0.05) -> ReductionInstance:
 
     delta must lie strictly between 0 and DELTA_LIMIT; the geometric
     properties (checked by verify_reduction_properties) degrade outside
-    that window.
+    that window.  An instance of more than REDUCTION_VERTEX_LIMIT chain
+    vertices raises TooLarge before any chain is built.
     """
     if not 0.0 < delta < DELTA_LIMIT:
         raise BadDelta(f"delta must be in (0, {DELTA_LIMIT}), got {delta}")
     n = graph.n_vertices
+    check_size(n + len(graph.edges) * (2 * n - 2), REDUCTION_VERTEX_LIMIT, "chain vertices")
     if n == 0:
         raise EmptyGraph("cannot build an instance for a graph with no vertices")
 

@@ -31,7 +31,7 @@ from .geometry import (
     check_motions,
     move_array_stack,
     superpose,
-    triangle_area,
+    triangle_areas,
 )
 # not called here, but perfbench/spans.py wraps rigid.motion_from_triples
 # when a traced run starts
@@ -180,7 +180,7 @@ def _candidate_arrays(
     chain of fewer than 3 vertices it yields nothing and allocates nothing;
     a chain of n vertices with n * n over PAIR_CELL_LIMIT raises TooLarge
     before anything is allocated.  The hits of one a-triple are taken len(b)
-    at a time and tested for degeneracy in numpy (_not_degenerate); those
+    at a time and tested for degeneracy (geometry.triangle_areas); those
     that are not degenerate, at most as many as the budget still needs, are
     superposed in one geometry.superpose call, and one whose superposition
     overflows is skipped like a degenerate one.
@@ -207,11 +207,14 @@ def _candidate_arrays(
         return
     for n in (len(pa), len(pb)):
         check_size(n * n, PAIR_CELL_LIMIT, f"vertex pairs ({n} vertices)")
-    upper = np.triu(np.ones((len(pb), len(pb)), dtype=bool), 1)
-    # the b-edges (j < k) in row-major order, and near()'s buffers: one
-    # difference and one test over those edges, and one (n, n) mask per test
-    # that is live at once, False below the diagonal; a call allocates nothing
-    eb = _edge_lengths(pb)
+    n = len(pb)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    # the b-edges (j < k) in row-major order, read off the pair iterator with
+    # no list of them, and near()'s buffers: one difference and one test over
+    # those edges, and one (n, n) mask per test that is live at once, False
+    # below the diagonal; a call allocates nothing
+    eb = np.fromiter(itertools.starmap(math.dist, itertools.combinations(pb, 2)), float,
+                     n * (n - 1) // 2)
     diff = np.empty_like(eb)
     hit = np.empty(eb.shape, dtype=bool)
     first, near02, near12 = (np.zeros_like(upper) for _ in range(3))
@@ -251,7 +254,8 @@ def _candidate_arrays(
                     # its congruence test passes every hit and only the
                     # b-triple's degeneracy is left to test
                     hits = np.stack((b0[r], b1[r], j2[h:h + len(pb)]), axis=1)
-                    live = hits[_not_degenerate(arr_b[hits])]
+                    # a NaN area is not <= the tolerance, so it is kept
+                    live = hits[~(triangle_areas(arr_b[hits]) <= DEGENERATE_AREA_TOL)]
                     while len(live):
                         need = config.budget - produced
                         rot, t = superpose(arr_b[live[:need]], arr_a[[i0, i1, i2]][None])
@@ -264,42 +268,6 @@ def _candidate_arrays(
                             yield rot[ok], t[ok]
                         if produced >= config.budget:
                             return
-
-
-def _not_degenerate(triples: np.ndarray) -> np.ndarray:
-    """not triangle_area(*triple) <= DEGENERATE_AREA_TOL for each triple of
-    an (m, 3, 3) stack of points.
-
-    The cross product is triangle_area's, component by component, so its
-    floats are the same; np.linalg.norm may sum its squares in another
-    order, so an area within a millionth of the tolerance is decided again
-    by triangle_area.  Like its area <= tol, a NaN area (inf - inf in the
-    cross product) is not degenerate.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = triples[:, 1] - triples[:, 0]
-        v = triples[:, 2] - triples[:, 0]
-        c0 = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
-        c1 = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
-        c2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-        area = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-        unsure = np.abs(area - DEGENERATE_AREA_TOL) <= 1e-6 * DEGENERATE_AREA_TOL
-    keep = ~(area <= DEGENERATE_AREA_TOL)
-    for m in np.flatnonzero(unsure).tolist():
-        keep[m] = not triangle_area(*triples[m].tolist()) <= DEGENERATE_AREA_TOL
-    return keep
-
-
-def _edge_lengths(points: tuple) -> np.ndarray:
-    """math.dist(points[j], points[k]) for every j < k, in row-major order
-    (the order of an (n, n) table's upper triangle), one row at a time."""
-    n = len(points)
-    out = np.empty(n * (n - 1) // 2)
-    start = 0
-    for j, p in enumerate(points):
-        out[start:start + n - 1 - j] = [math.dist(p, q) for q in points[j + 1:]]
-        start += n - 1 - j
-    return out
 
 
 def plsa_rigid_pair(

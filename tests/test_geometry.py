@@ -308,11 +308,13 @@ def test_triangle_area_known_values():
     assert triangle_area(Point3(0, 0, 0), Point3(1, 1, 1), Point3(2, 2, 2)) == pytest.approx(0.0)
 
 
-def cross_area(a, b, c):
-    # oracle: the area as np.cross gives it
-    u = np.subtract(b, a)
-    v = np.subtract(c, a)
-    return 0.5 * float(np.linalg.norm(np.cross(u, v)))
+def fixed_order_area(a, b, c):
+    # oracle: np.cross's components in plain Python floats, their squares
+    # summed left to right
+    u = [q - p for p, q in zip(a, b)]
+    v = [q - p for p, q in zip(a, c)]
+    c0, c1, c2 = u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+    return 0.5 * math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 coords = st.floats(-1e3, 1e3)
@@ -339,7 +341,7 @@ triples = st.one_of(
 @example(((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9)))
 def test_triangle_area_equals_cross_product_area(pts):
     a, b, c = (Point3(*p) for p in pts)
-    assert triangle_area(a, b, c) == cross_area(a, b, c)
+    assert triangle_area(a, b, c) == fixed_order_area(a, b, c)
 
 
 motions = st.builds(

@@ -10,6 +10,7 @@ TooLarge (exit 3 from the command line).
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -70,6 +71,10 @@ GUARDS = {
         reduction, "MIS_LIMIT", 4,
         lambda: reduction.solve_reduction_bruteforce(build_reduction(GRAPH, 0.05)),
     ),
+    "build_reduction": (
+        reduction, "REDUCTION_VERTEX_LIMIT", 4 + 3 * (2 * 4 - 2),
+        lambda: build_reduction(GRAPH, 0.05),
+    ),
     "brute_force_frechet": (
         oracles, "BRUTE_FORCE_LIMIT", 3 + 4,
         lambda: oracles.brute_force_frechet(line("a", 3), line("b", 4)),
@@ -120,6 +125,26 @@ def test_verify_reduction_runs_at_its_limit_and_exits_3_past(tmp_path, capsys):
     with mock.patch.object(cli, "MIS_LIMIT", 3):
         assert cli.main(["verify-reduction", str(path)]) == 3
     assert "4 vertices exceed the limit of 3" in capsys.readouterr().err
+
+
+def test_gen_hard_refuses_an_instance_past_the_limit_before_building_it(tmp_path, capsys):
+    # a cycle of 20 000 vertices asks for n + |E| (2n - 2), about 8e8,
+    # chain vertices: refused before any chain is built
+    n = 20_000
+    graph = Graph(n, tuple((i, i % n + 1) for i in range(1, n + 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="^799980000 chain vertices exceed the limit of 1000000$"):
+            build_reduction(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path = tmp_path / "cycle.graph"
+    path.write_text(f"{n} {n}\n" + "".join(f"{i} {j}\n" for i, j in graph.edges), encoding="utf-8")
+    assert cli.main(["gen-hard", str(path), "--out", str(tmp_path / "inst")]) == 3
+    assert "799980000 chain vertices exceed the limit" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
 
 
 def test_importing_the_package_leaves_the_oracles_unloaded():

@@ -16,12 +16,13 @@ from chainalign import rigid
 from chainalign.errors import InvalidThreshold, NegativeDelta, TooLarge
 from chainalign.geometry import (
     DEGENERATE_AREA_TOL, Chain3D, Point3, RigidMotion, apply_motion, chain_from_coords, superpose,
-    triangle_area,
+    triangle_area, triangle_areas,
 )
 from chainalign.oracles import superpose_one
 from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
 from chainalign.reduction import PRIME, Graph, ReductionInstance, measure_reduction_properties
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
+from test_geometry import fixed_order_area
 from test_reduction import report_fields
 
 # fixed examples, so a run is reproducible and leaves no example database
@@ -619,7 +620,7 @@ def test_scan_and_search_equal_oracle_with_int_coordinates():
     a = chain_from_coords("a", [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5)])
     assert b.points[1] == (2.0**53, 1.0, 0.0)
     assert triangle_area(*b.points[:3]) == 2.0
-    assert rigid._not_degenerate(b.as_array()[None, :3])[0]
+    assert triangle_areas(b.as_array()[None, :3])[0] == 2.0
     motions, superposed = stream_equals_oracle(a, b, 1e300, 10**9)
     assert any(src == b.points[:3] for src, _ in superposed)
     assert_search_equals_oracle(a, b, 0.5, SearchConfig("triples", 100, prune_tolerance=1e300))
@@ -650,8 +651,8 @@ def test_int_coordinates_are_the_floats_they_round_to(pa, pb):
 def tolerance_triangles():
     # a tilted triangle scaled to the degeneracy tolerance: the last scale
     # whose triangle_area is not above it, and the next float, whose area
-    # is; one ulp apart, so np.linalg.norm's order of sums decides them (a
-    # left-to-right sum of the squares puts the second at the tolerance)
+    # is; one ulp apart, so the order in which the squares of the cross
+    # product are summed decides them
     base = np.array([[0.0, 0.0, 0.0], [-0.2, 0.7, -0.8], [-0.6, 0.3, 0.9]])
     scale = math.sqrt(DEGENERATE_AREA_TOL / triangle_area(*base.tolist()))
 
@@ -686,11 +687,13 @@ def test_scan_and_search_equal_oracle_at_the_degeneracy_tolerance():
 @given(st.lists(st.tuples(real_coord, real_coord, real_coord), min_size=3, max_size=3),
        st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4, 1.0]))
 def test_not_degenerate_equals_triangle_area(points, scale):
-    # the scan's numpy test decides what triangle_area decides, also one
-    # ulp either side of the tolerance
+    # the scan's stacked areas are the fixed-order oracle's floats, so they
+    # decide degeneracy as one triangle at a time does, also one ulp either
+    # side of the tolerance
     stack = np.array([points, *tolerance_triangles()]) * np.array([scale, 1.0, 1.0])[:, None, None]
-    expected = [not triangle_area(*t) <= DEGENERATE_AREA_TOL for t in stack.tolist()]
-    assert rigid._not_degenerate(stack).tolist() == expected
+    areas = triangle_areas(stack).tolist()
+    assert [x.hex() for x in areas] == [fixed_order_area(*t).hex() for t in stack.tolist()]
+    expected = [not x <= DEGENERATE_AREA_TOL for x in areas]
     assert expected[1:] == [False, True]
 
 
