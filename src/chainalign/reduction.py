@@ -565,24 +565,6 @@ def _next_table(hits: np.ndarray, width: int) -> np.ndarray:
     return np.minimum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
 
 
-def _sweep_positions(table: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sweep many queries through one flattened next table.
-
-    offsets[j] holds, per query, the flat start of the row of its j-th
-    index.  Each index takes the lowest position of its row at or after the
-    position of the index before it; the result is each query's last
-    position, the table's width when some index found none.  Over close
-    rows this is the subsequence decision: row i of its dynamic program is
-    the close set of common vertex i cut below the lowest feasible position
-    of row i-1.  Over label rows it is the greedy label scan, since distinct
-    indices never share a position.
-    """
-    pos = np.zeros(offsets.shape[1:], dtype=np.intp)
-    for row in offsets:
-        pos = table[row + pos]
-    return pos
-
-
 def subsequence_match_decision(common: Chain3D, chain: Chain3D, delta: float) -> bool:
     """Does some subsequence of chain lie within discrete Frechet distance
     delta of common?
@@ -598,8 +580,10 @@ def subsequence_match_decision(common: Chain3D, chain: Chain3D, delta: float) ->
     check_threshold(delta)
     (close,) = _close_tables(common.points, (chain,), delta)
     m = len(chain)
-    offsets = np.arange(len(common), dtype=np.intp)[:, None] * (m + 1)
-    return bool(_sweep_positions(_next_table(close, m).ravel(), offsets)[0] < m)
+    pos = 0
+    for row in _next_table(close, m):
+        pos = row[pos]
+    return bool(pos < m)
 
 
 @dataclass(frozen=True)

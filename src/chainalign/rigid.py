@@ -139,27 +139,18 @@ def _motion_blocks(
     so a row that is not a proper rigid motion raises the error its
     RigidMotion would raise, before any motion of its block is read.
     """
-    pieces, held = [], 0
-    for rotations, translations in _candidate_arrays(a, b, delta, config, size):
-        while len(rotations):
-            take = size - held
-            pieces.append((rotations[:take], translations[:take]))
-            held += len(pieces[-1][0])
-            rotations, translations = rotations[take:], translations[take:]
-            if held == size:
-                yield _checked(pieces)
-                pieces, held = [], 0
-    if pieces:
-        yield _checked(pieces)
-
-
-def _checked(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """One block from consecutive (rotations, translations) pieces, checked."""
-    rotations, translations = (
-        np.concatenate(part) if len(pieces) > 1 else part[0] for part in zip(*pieces)
-    )
-    check_motions(rotations, translations)
-    return rotations, translations
+    rotations, translations = np.empty((0, 3, 3)), np.empty((0, 3))
+    for rot, t in _candidate_arrays(a, b, delta, config, size):
+        rotations = np.concatenate((rotations, rot))
+        translations = np.concatenate((translations, t))
+        while len(rotations) >= size:
+            block = rotations[:size], translations[:size]
+            check_motions(*block)
+            yield block
+            rotations, translations = rotations[size:], translations[size:]
+    if len(rotations):
+        check_motions(rotations, translations)
+        yield rotations, translations
 
 
 def _candidate_arrays(
@@ -263,9 +254,8 @@ def _candidate_arrays(
                         # a superposition that overflows is skipped like a
                         # degenerate triple
                         ok = np.isfinite(t).all(axis=1)
-                        if ok.any():
-                            produced += int(ok.sum())
-                            yield rot[ok], t[ok]
+                        produced += int(ok.sum())
+                        yield rot[ok], t[ok]
                         if produced >= config.budget:
                             return
 

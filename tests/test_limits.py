@@ -149,11 +149,12 @@ def test_gen_hard_refuses_an_instance_past_the_limit_before_building_it(tmp_path
 
 def test_importing_the_package_leaves_the_oracles_unloaded():
     src = str(Path(chainalign.__file__).resolve().parent.parent)
-    # nor the standard library's metadata, url or xml packages; the
+    # nor the standard library's metadata, url, xml or fractions packages; the
     # version is still there when asked for
     code = (
         "import sys, chainalign, chainalign.cli; "
-        "unloaded = ('chainalign.oracles', 'importlib.metadata', 'urllib.request', 'xml.sax'); "
+        "unloaded = ('chainalign.oracles', 'importlib.metadata', 'urllib.request', 'xml.sax', "
+        "'fractions'); "
         "sys.exit([m for m in unloaded if m in sys.modules] "
         "or not isinstance(chainalign.__version__, str))"
     )

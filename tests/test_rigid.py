@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 from chainalign import rigid
 from chainalign.errors import InvalidThreshold, NegativeDelta, TooLarge
 from chainalign.geometry import (
-    DEGENERATE_AREA_TOL, Chain3D, Point3, RigidMotion, apply_motion, chain_from_coords, superpose,
-    triangle_area, triangle_areas,
+    DEGENERATE_AREA_TOL, Chain3D, Point3, RigidMotion, apply_motion, chain_from_coords,
+    check_motions, superpose, triangle_area, triangle_areas,
 )
 from chainalign.oracles import superpose_one
 from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
 from chainalign.reduction import PRIME, Graph, ReductionInstance, measure_reduction_properties
 from chainalign.rigid import SearchConfig, enumerate_candidate_motions, plsa_rigid_pair
-from test_geometry import fixed_order_area
+from test_geometry import fixed_order_area, random_motion
 from test_reduction import report_fields
 
 # fixed examples, so a run is reproducible and leaves no example database
@@ -714,6 +714,51 @@ def test_search_skips_an_overflowing_superposition():
     assert ((b.points[0], b.points[2], b.points[4]), (a.points[0], a.points[1], a.points[3])) in superposed
     assert len(motions) < len(superposed)
     assert result.value >= plsa_static_pair_fast(a, b, 0.25).value
+
+
+@pytest.mark.parametrize("bad", [None, 17, 20])
+def test_motion_blocks_regroup_pieces_of_any_length(bad):
+    # empty pieces, one shorter than a block, one that ends a block and one
+    # spanning three: 21 motions in blocks of 5, 5, 5, 5, 1, each checked
+    # once and before it is yielded; a non-orthonormal row in the fourth
+    # block, or in the short last one, raises after every earlier block
+    size, lengths = 5, [0, 1, 4, 5, 11, 0]
+    rng = random.Random(151)
+    motions = [random_motion(rng) for _ in range(sum(lengths))]
+    rotations = np.array([m.rotation for m in motions])
+    translations = np.array([m.translation for m in motions])
+    if bad is not None:
+        rotations[bad, 0, 1] += 1e-3
+    ends = list(itertools.accumulate(lengths, initial=0))
+    pieces = [(rotations[s:e], translations[s:e]) for s, e in zip(ends, ends[1:])]
+    events, fails = [], pytest.raises(ValueError, match="not orthonormal")
+
+    def checked(r, t):
+        events.append(("check", r.tolist(), t.tolist()))
+        check_motions(r, t)
+
+    with mock.patch.object(rigid, "_candidate_arrays", lambda *args: iter(pieces)), \
+            mock.patch.object(rigid, "check_motions", checked):
+        blocks = rigid._motion_blocks(None, None, 1.0, SearchConfig(), size)
+        with contextlib.nullcontext() if bad is None else fails as raised:
+            for r, t in blocks:
+                events.append(("yield", r.tolist(), t.tolist()))
+    shown = len(motions) if bad is None else bad - bad % size
+    expected = []
+    for s in range(0, len(motions), size):
+        block = rotations[s:s + size].tolist(), translations[s:s + size].tolist()
+        expected.append(("check", *block))
+        if s >= shown:
+            break
+        expected.append(("yield", *block))
+    assert events == expected
+    if bad is None:
+        assert [len(r) for kind, r, _ in events if kind == "yield"] == [5, 5, 5, 5, 1]
+    else:
+        # the error the bad row's RigidMotion raises
+        with pytest.raises(ValueError) as alone:
+            RigidMotion(rotations[bad].tolist(), translations[bad].tolist())
+        assert str(raised.value) == str(alone.value)
 
 
 def test_first_triples_candidate_needs_little_memory():
