@@ -11,10 +11,11 @@ optionally narrowed with --pdb-chain.
 plsa aligns two chains with the quadratic prefix-maximum DP, whose values,
 walks and tie-breaks equal the quartic reference's.  Its time and memory
 follow the candidate cells (those in an x band of width 2 delta around each
-vertex) and the valid ones, not the |A| |B| cells, though with every cell
-valid they are still quadratic; it refuses more than plsa.PAIR_CELL_LIMIT
-cells (exit 3, also for plsa-rigid).  --fast is accepted and has no
-effect.  Three or four chains run the multi-chain DP,
+vertex, computed row by row where they are sparse and as rectangles of
+rows where they are dense) and the valid ones, not the |A| |B| cells,
+though with every cell valid they are still quadratic; it refuses more
+than plsa.PAIR_CELL_LIMIT cells (exit 3, also for plsa-rigid).  --fast is
+accepted and has no effect.  Three or four chains run the multi-chain DP,
 one table and O((2^m + m) N) work for m chains of N index tuples, which
 refuses more than plsa.MULTI_STATE_LIMIT index tuples (exit 3).  dfd
 refuses more than PAIR_CELL_LIMIT cells, and plsa-rigid --mode triples a
@@ -22,6 +23,10 @@ chain of more than 5000 vertices, both with exit 3.  These limits, those of
 mis and verify-reduction, and gen-hard's reduction.REDUCTION_VERTEX_LIMIT
 chain vertices, are all checked by errors.check_size.
 plsa-rigid --mode random without --seed draws a seed and reports it.
+
+dfd exits 2, printing nothing to stdout, when the distance overflows floats
+(two vertices farther apart than about 1.8e308); the error names the
+witness pair, whose distance is the overflowed value.
 
 elapsed_ms times the solve call alone, not loading, validation or output:
 discrete_frechet (dfd), the DP (plsa), the search (plsa-rigid), build,
@@ -116,6 +121,10 @@ def _timed(fn, *args):
 def _cmd_dfd(args) -> str:
     chains, inputs = _load_chains((args.chain_a, args.chain_b), args.pdb_chain)
     res, ms = _timed(discrete_frechet, *chains)
+    if not math.isfinite(res.value):
+        i, j = res.witness
+        raise InputError(f"the distance overflows floats: vertex {i} of the first chain and "
+                         f"vertex {j} of the second are too far apart")
     walk = res.walk.steps if args.walk else None
     report = RunReport("dfd", inputs, None, res.value, ms, walk=walk, witness=res.witness,
                        chains=chains)

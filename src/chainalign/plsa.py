@@ -75,7 +75,9 @@ DIST_ABS_SLACK = 1e-150
 # flat cell indices i * |B| + j, and positions in a list of cells, fit in
 # int32 below 2**31 cells
 CELL_INDEX = np.int32 if PAIR_CELL_LIMIT < 2**31 else np.int64
-# cells per row block of _valid_cells, which bounds its distance temporaries
+# _valid_cells computes a row block as a rectangle of at most BLOCK_CELLS
+# cells or as its rows' x runs, about BLOCK_CELLS // 4 cells, which bounds
+# its distance temporaries
 BLOCK_CELLS = 1 << 16
 
 NEG = float("-inf")
@@ -250,21 +252,23 @@ def _valid_cells(pa: np.ndarray, pb: np.ndarray, delta: float) -> np.ndarray:
     of the two chains.
 
     A valid cell's x gap is within delta + slack, so the candidates of a_i
-    are one run of B sorted by x, bounded by two binary searches.  Rows of
-    A are taken in blocks of BLOCK_CELLS // |B|.  A block's distances are
-    computed over the contiguous run of sorted B that covers its rows'
-    runs, with those columns put back in index order, so its temporaries
-    stay within BLOCK_CELLS cells and its valid cells come out ascending.
-    Each distance is numpy's sqrt of the squared differences summed over
-    x, y and z.  Those it places within rounding slack of delta, or at inf
-    (an overflowed square), are re-decided with math.dist on the rows'
-    floats, which are those of the chains' Point3s.
+    are its run of B sorted by x, bounded by two binary searches.  The run
+    holds exactly the points whose x lies within reach of a_i's, so neither
+    it nor the output depends on how B's x ties are sorted.  Rows of A are
+    taken in index order, in blocks whose runs hold about BLOCK_CELLS // 4
+    cells.  A block whose rows by the union of their runs make at most
+    twice its runs' cells, and at most BLOCK_CELLS, is computed as that
+    rectangle, with its columns put back in index order, so its valid cells
+    come out ascending.  Any other block computes only its rows' runs, as
+    (row, column) pairs, and sorts its valid cells.  Each distance is
+    numpy's sqrt of the squared differences summed over x, y and z.  Those
+    it places within rounding slack of delta, or at inf (an overflowed
+    square), are re-decided with math.dist on the rows' floats, which are
+    those of the chains' Point3s.
     """
-    n1, n2 = len(pa), len(pb)
-    order = np.argsort(pb[:, 0], kind="stable")
-    bx = pb[order, 0]
-    step = max(1, BLOCK_CELLS // n2)
-    buf = np.empty((2, min(step, n1) * n2))
+    n2 = len(pb)
+    order = np.argsort(pb[:, 0])
+    sb = np.ascontiguousarray(pb.take(order, axis=0).T)  # (3, |B|), sorted by x
     found = [np.empty(0, dtype=CELL_INDEX)]
     # a bound at inf holds every larger float, and an overflowed square is
     # re-decided
@@ -276,35 +280,75 @@ def _valid_cells(pa: np.ndarray, pb: np.ndarray, delta: float) -> np.ndarray:
         # within delta + slack; the second slack covers the rounding of that
         # gap and of the band's ends
         reach = delta + 2 * slack
-        firsts = np.arange(0, n1, step)
-        lo = np.minimum.reduceat(np.searchsorted(bx, pa[:, 0] - reach, side="left"), firsts)
-        hi = np.maximum.reduceat(np.searchsorted(bx, pa[:, 0] + reach, side="right"), firsts)
-        for r0, s0, s1 in zip(firsts.tolist(), lo.tolist(), hi.tolist()):
-            if s0 >= s1:
-                continue
-            r1 = min(r0 + step, n1)
-            cols = np.sort(order[s0:s1])
-            qb = pb[cols]
-            w = cols.size
-            dist = buf[0, : (r1 - r0) * w].reshape(r1 - r0, w)
-            diff = buf[1, : (r1 - r0) * w].reshape(r1 - r0, w)
-            np.subtract.outer(pa[r0:r1, 0], qb[:, 0], out=dist)
-            np.multiply(dist, dist, out=dist)
-            for k in (1, 2):
-                np.subtract.outer(pa[r0:r1, k], qb[:, k], out=diff)
-                np.multiply(diff, diff, out=diff)
-                dist += diff
+        lo = np.searchsorted(sb[0], pa[:, 0] - reach, side="left")
+        hi = np.searchsorted(sb[0], pa[:, 0] + reach, side="right")
+        own = hi - lo
+        # a block starts where the runs' cells above a row pass a multiple
+        # of BLOCK_CELLS // 4
+        firsts = np.flatnonzero(np.diff((np.cumsum(own) - own) // max(1, BLOCK_CELLS // 4),
+                                        prepend=-1))
+        lasts = np.append(firsts[1:], len(pa))
+        cells = np.add.reduceat(own, firsts)
+        c0 = np.minimum.reduceat(lo, firsts)
+        c1 = np.maximum.reduceat(hi, firsts)
+        rect = (lasts - firsts) * (c1 - c0)
+        dense = rect <= np.minimum(2 * cells, BLOCK_CELLS)
+        buf = np.empty((2, rect[dense].max(initial=0)))
+
+        def decide(dist, pair):
+            # the flat positions of the valid cells of a block, from its
+            # squared distances; pair(f) is the (i, j) of position f
             np.sqrt(dist, out=dist)
             valid = dist <= delta
             unsure = (dist >= unsure_lo) & ((dist <= unsure_hi) | (dist == np.inf))
+            flat = valid.reshape(-1)
             for f in np.flatnonzero(unsure).tolist():
-                r, c = divmod(f, w)
-                valid[r, c] = math.dist(pa[r0 + r].tolist(), pb[cols[c]].tolist()) <= delta
-            f = np.flatnonzero(valid)
-            if w < n2:  # the block's column c is B's column cols[c]
-                r, c = np.divmod(f, w)
-                f = r * n2 + cols[c]
-            found.append((f + r0 * n2).astype(CELL_INDEX))
+                i, j = pair(f)
+                flat[f] = math.dist(pa[i].tolist(), pb[j].tolist()) <= delta
+            return np.flatnonzero(flat)
+
+        blocks = zip(*(v.tolist() for v in (firsts, lasts, cells, c0, c1, dense)))
+        for r0, r1, m, s0, s1, is_dense in blocks:
+            if m == 0:
+                continue
+            if is_dense:
+                cols = np.sort(order[s0:s1])
+                qb = pb.take(cols, axis=0)
+                w = cols.size
+                dist = buf[0, : (r1 - r0) * w].reshape(r1 - r0, w)
+                diff = buf[1, : (r1 - r0) * w].reshape(r1 - r0, w)
+                np.subtract.outer(pa[r0:r1, 0], qb[:, 0], out=dist)
+                np.multiply(dist, dist, out=dist)
+                for k in (1, 2):
+                    np.subtract.outer(pa[r0:r1, k], qb[:, k], out=diff)
+                    np.multiply(diff, diff, out=diff)
+                    dist += diff
+                f = decide(dist, lambda f: (r0 + f // w, cols[f % w]))
+                if w < n2:  # the block's column c is B's column cols[c]
+                    r, c = np.divmod(f, w)
+                    f = r * n2 + cols[c]
+                found.append((f + r0 * n2).astype(CELL_INDEX))
+            else:
+                runs = own[r0:r1]
+                ends = np.cumsum(runs)
+                # the block's t-th cell is at lo + t - (the cells of the rows
+                # above it) in its row's run
+                pos = (lo[r0:r1] - ends + runs).repeat(runs)
+                pos += np.arange(m)
+                dist = pa[r0:r1, 0].repeat(runs)
+                dist -= sb[0].take(pos)
+                np.multiply(dist, dist, out=dist)
+                for k in (1, 2):
+                    diff = pa[r0:r1, k].repeat(runs)
+                    diff -= sb[k].take(pos)
+                    np.multiply(diff, diff, out=diff)
+                    dist += diff
+
+                def pair(f):
+                    return r0 + np.searchsorted(ends, f, side="right"), order[pos[f]]
+
+                i, j = pair(decide(dist, pair))
+                found.append(np.sort(i * n2 + j).astype(CELL_INDEX))
     return np.concatenate(found)
 
 
@@ -405,7 +449,7 @@ def plsa_static_pair_fast(a: Chain3D, b: Chain3D, delta: float) -> AlignmentResu
     fills the DP over that list; the walk is read back one step at a time
     from its per-cell predecessors.  Values, walks and ties agree with the
     reference exactly.  Time and memory follow the candidate and valid
-    cells, so a sparse 3000 x 3000 input peaks near 1 MB; with every cell
+    cells, so a sparse 3000 x 3000 input peaks near 0.6 MB; with every cell
     valid they are still O(|A| |B|).  More than PAIR_CELL_LIMIT cells
     get TooLarge before any allocation.
     """

@@ -47,7 +47,9 @@ __all__ = [
 MODES = ("triples", "random")
 # cells scored per _valid_cells call: plsa_rigid_pair moves
 # SCORE_CELLS // (|a| |b|) candidates' copies of b at a time; at most
-# PAIR_CELL_LIMIT, so the flat cell indices fit CELL_INDEX
+# PAIR_CELL_LIMIT, so the flat cell indices fit CELL_INDEX.  _valid_cells
+# computes only each row's x run of the copies, so a chunk costs the cells
+# of those runs, not SCORE_CELLS
 SCORE_CELLS = 1 << 20
 # and at most SCORE_MOTIONS candidates, which bounds the motions held and,
 # when a candidate reaches the ceiling, those built for nothing; the triples
@@ -286,9 +288,9 @@ def plsa_rigid_pair(
     2c vertices, so a candidate with 2c not above the incumbent's value
     cannot beat it and skips the DP.  Stopping at the ceiling inside a chunk
     leaves the rest of it superposed but unscored, at most SCORE_MOTIONS - 1
-    motions.  Two 100-vertex chains give chunks of 104, over which
-    _valid_cells' two distance buffers take their full BLOCK_CELLS size,
-    about 1 MB.
+    motions.  Two 100-vertex chains give chunks of 104 copies, 10 400
+    columns, where _valid_cells computes the rows' x runs alone, some
+    15 000 cells, in temporaries under 1 MB.
     """
     check_threshold(delta)
     n1, n2 = len(a), len(b)

@@ -304,6 +304,22 @@ def test_undecodable_chain_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "decode" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("x", [1e308, -1e308])
+def test_dfd_that_overflows_exits_2(tmp_path, capsys, fmt, x):
+    # strict JSON has no Infinity, so an overflowed distance is not reported
+    fa = write(tmp_path / "a.chain", chain_text([(x, 0, 0), (0, 0, 0)]))
+    fb = write(tmp_path / "b.chain", chain_text([(-x, 0, 0), (0, 0, 0)]))
+    assert main(["dfd", fa, fb, "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "vertex 1 of the first chain and vertex 1 of the second" in err
+    # the largest finite distance is still reported
+    fo = write(tmp_path / "o.chain", chain_text([(0, 0, 0)]))
+    assert main(["dfd", fa, fo, "--format", fmt]) == 0
+    assert "1e+308" in capsys.readouterr().out
+
+
 def test_bad_parameters_exit_3(tmp_path, capsys):
     fa = write(tmp_path / "a.chain", chain_text([(0, 0, 0)]))
     fb = write(tmp_path / "b.chain", chain_text([(1, 0, 0)]))

@@ -76,17 +76,21 @@ def test_fast_equals_reference_on_one_vertex_chains(a, b, data):
 huge_coord = st.sampled_from([0.0, 1.0]) | st.floats(1e199, 2e200) | st.floats(-2e200, -1e199)
 
 
-@pytest.mark.parametrize("x, yz", [
-    (grid_coord, grid_coord),
-    (real_coord, real_coord),
+@pytest.mark.parametrize("x, yz, size", [
+    (grid_coord, grid_coord, 12),
+    (real_coord, real_coord, 12),
     # every vertex shares one x coordinate, so every cell is a candidate
-    (st.just(0.5), real_coord),
-    (huge_coord, huge_coord),
-], ids=["grid", "continuous", "one-x", "huge"])
+    (st.just(0.5), real_coord, 12),
+    (huge_coord, huge_coord, 12),
+    # x spread wide against y and z: rows' runs are short next to the
+    # union of a block's runs, so blocks computed as rectangles and blocks
+    # computed as their rows' runs both occur at every block size
+    (st.floats(-100.0, 100.0), real_coord, 40),
+], ids=["grid", "continuous", "one-x", "huge", "spread-x"])
 @fixed_examples
 @given(data=st.data())
-def test_valid_cells_equal_a_double_loop(x, yz, data):
-    pts = st.lists(st.tuples(x, yz, yz), min_size=1, max_size=12)
+def test_valid_cells_equal_a_double_loop(x, yz, size, data):
+    pts = st.lists(st.tuples(x, yz, yz), min_size=1, max_size=size)
     a, b = (chain_from_coords("c", data.draw(pts)) for _ in range(2))
     i = data.draw(st.integers(0, len(a) - 1))
     j = data.draw(st.integers(0, len(b) - 1))

@@ -16,7 +16,7 @@ from chainalign import rigid
 from chainalign.errors import InvalidThreshold, NegativeDelta, TooLarge
 from chainalign.geometry import (
     DEGENERATE_AREA_TOL, Chain3D, Point3, RigidMotion, apply_motion, chain_from_coords,
-    check_motions, superpose, triangle_area, triangle_areas,
+    check_motions, move_array_stack, superpose, triangle_area, triangle_areas,
 )
 from chainalign.oracles import superpose_one
 from chainalign.plsa import PAIR_CELL_LIMIT, _pair_kernel, _valid_cells, plsa_static_pair_fast
@@ -455,6 +455,53 @@ def test_pair_value_is_at_most_twice_the_valid_cells(a, b, delta):
     value = _pair_kernel(cells, len(a), len(b))[0]
     assert value <= 2 * cells.size
     assert value == plsa_static_pair_fast(a, b, delta).value
+
+
+def turned(rng, k):
+    # k rotations about random axes, as a (k, 3, 3) stack
+    return np.array([rodrigues((rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0),
+                               rng.uniform(0, 2 * math.pi)) for _ in range(k)])
+
+
+def walk_chunks():
+    # the scoring chunks of a triples search on a 100-vertex walk
+    a, b = protein_like_pair(random.Random(151), 100)
+    config = SearchConfig("triples", 300)
+    return [(a, b, *block, 1.5) for block in rigid._motion_blocks(a, b, 1.5, config, 104)]
+
+
+def identical_copies():
+    # 20 copies moved by one motion: every x of B is tied 20 ways
+    a, b = protein_like_pair(random.Random(157), 60)
+    rotations, translations = next(rigid._motion_blocks(a, b, 1.5, SearchConfig("triples"), 1))
+    return [(a, b, rotations.repeat(20, axis=0), translations.repeat(20, axis=0), 1.5)]
+
+
+def dense_box():
+    # both chains within sqrt(3) of the origin, turned about it: every cell
+    # of every copy is within delta
+    rng = random.Random(163)
+    a, b = rand_chain(rng, "a", 30, hi=1.0), rand_chain(rng, "b", 30, hi=1.0)
+    return [(a, b, turned(rng, 40), np.zeros((40, 3)), 4.0)]
+
+
+def huge_coordinates():
+    # squared differences overflow, so distances at inf are re-decided
+    rng = random.Random(167)
+    a, b = (chain_from_coords(name, [[rng.choice([0.0, 1.0, 1e200, -1.5e200]) for _ in range(3)]
+                                     for _ in range(12)]) for name in "ab")
+    return [(a, b, turned(rng, 16), np.zeros((16, 3)), delta) for delta in (1.0, 2e200, 1e300)]
+
+
+@pytest.mark.parametrize("chunks", [walk_chunks, identical_copies, dense_box, huge_coordinates])
+def test_chunk_cells_equal_valid_cells_of_each_copy(chunks):
+    for a, b, rotations, translations, delta in chunks():
+        pa, pb = a.as_array(), b.as_array()
+        cells, bounds = rigid._chunk_cells(pa, pb, rotations, translations, delta)
+        moved = move_array_stack(rotations, translations, pb)
+        for c in range(len(rotations)):
+            alone = _valid_cells(pa, moved[c], delta)
+            assert cells[bounds[c]:bounds[c + 1]].tolist() == alone.tolist(), c
 
 
 @fixed_examples
